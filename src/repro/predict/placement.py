@@ -9,10 +9,10 @@ global barriers, tasks of one level run concurrently on their assigned
 machines, and the plan's makespan is the sum over levels of the slowest
 machine's *wave* time.
 
-Wave times are contention-aware, mirroring the engine's phase model
-(:meth:`repro.sim.engine.Engine._phase_factors`): oversubscribing a
-machine's cores slows all compute on it proportionally, and concurrent
-I/O streams share the filesystem bandwidth.  Because predictor and
+Wave times are contention-aware through the engine's own phase rule
+(:func:`repro.sim.costs.phase_contention`): oversubscribing a machine's
+cores slows all compute on it proportionally, and concurrent I/O streams
+share the filesystem bandwidth.  Because predictor and
 engine agree demand-by-demand, a plan's predicted makespan replays
 exactly on the sim plane (see :mod:`repro.predict.validate`).
 
@@ -35,9 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.errors import WorkloadError
 from repro.predict.models import Task
 from repro.predict.predictor import Predictor
+from repro.sim.costs import phase_contention
 from repro.sim.machines import resolve_machine
 from repro.sim.resource import MachineSpec
 from repro.util.tables import Table
@@ -175,25 +178,32 @@ def _task_times(
 ) -> dict[str, float]:
     """Contended per-task runtimes of one concurrent wave on one machine.
 
-    Mirrors the engine's phase contention: compute slows by the
-    core-oversubscription factor, I/O by the number of concurrent streams
-    hitting the (default) filesystem.
+    The wave is one engine phase with one stream per task, so the
+    factors come from the engine's own contention rule
+    (:func:`repro.sim.costs.phase_contention`): compute slows by the
+    core-oversubscription factor, I/O by the number of concurrent
+    streams hitting the (default) filesystem.
     """
     if not tasks:
         return {}
     cores = machine.cpu.cores
-    cpu_workers = sum(
+    cpu_workers = [
         min(task.demand.threads, cores)
         for task in tasks
         if task.demand.instructions > 0
-    )
-    f_cpu = max(1.0, cpu_workers / cores)
+    ]
     n_io = sum(
         1
         for task in tasks
         if task.demand.io_read_bytes > 0 or task.demand.io_write_bytes > 0
     )
-    f_io = max(1.0, float(n_io))
+    # One phase and one (default) filesystem, so every code is zero.
+    cpu_phase = np.zeros(len(cpu_workers), dtype=np.intp)
+    io_codes = np.zeros(n_io, dtype=np.intp)
+    f_cpu, f_io = phase_contention(
+        cores, 1, cpu_phase, np.asarray(cpu_workers, dtype=float), io_codes, io_codes, 1
+    )
+    f_cpu, f_io = float(f_cpu[0]), float(f_io[0, 0])
     out: dict[str, float] = {}
     for task in tasks:
         p = predictor.predict(task.demand, machine)

@@ -5,19 +5,22 @@ The predictor maps a :class:`~repro.predict.models.DemandVector` onto any
 engine: each vector component is costed with the machine's sustained
 rates (IPC × clock for compute, latency + bandwidth for I/O, memory and
 network), reproducing the paper-companion's analytical placement model.
-The formulas are exactly the engine's per-demand costing
-(:meth:`repro.sim.engine.Engine._cost`), so a prediction equals the
-noise-free emulated runtime of the same vector — the property the
-closed-loop validation in :mod:`repro.predict.validate` measures.
+The vector is costed as the demands
+:meth:`~repro.predict.models.DemandVector.to_demands` emits, through the
+engine's own kernels in :mod:`repro.sim.costs`, so a prediction equals
+the noise-free emulated runtime of the same vector by construction — the
+property the closed-loop validation in :mod:`repro.predict.validate`
+measures.
 
 Two performance features make the predictor usable as a planner inner
 loop:
 
 * a digest-keyed LRU cache over ``(vector, machine, filesystem)``
   triples — planners re-evaluate the same pair many times;
-* :meth:`Predictor.predict_many`, a vectorised batch API evaluating a
-  full ``workloads × machines`` cost matrix in one numpy pass
-  (thousands of pairs per millisecond, see ``bench_e6_placement``).
+* :meth:`Predictor.predict_many`, a batch API evaluating a full
+  ``workloads × machines`` cost matrix with one kernel pass per machine
+  (thousands of pairs per millisecond, see ``bench_e6_placement``);
+  :meth:`Predictor.predict` is its one-vector case behind the cache.
 
 ``calibrated=True`` additionally charges each machine's kernel
 calibration bias (``calib_ipc / ipc``, fitted by :mod:`repro.sim.calibrate`
@@ -35,6 +38,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.predict.models import DemandVector
+from repro.sim.costs import (
+    bind_compute,
+    bind_io,
+    compute_costs,
+    io_costs,
+    memory_costs,
+    network_costs,
+)
+from repro.sim.demands import MemoryDemand
 from repro.sim.machines import resolve_machine
 from repro.sim.resource import MachineSpec
 
@@ -43,6 +55,9 @@ __all__ = ["Prediction", "Predictor"]
 #: Bound on the machine-fingerprint memo, so long ablation sweeps over
 #: many replace()'d specs do not pin every variant in memory.
 _MACHINE_MEMO_SIZE = 128
+
+#: Block size of the memory demand a vector replays as (the default).
+_MEM_BLOCK = MemoryDemand().block_size
 
 
 @dataclass(frozen=True)
@@ -134,7 +149,8 @@ class Predictor:
         """Predict the uncontended runtime of ``demand`` on ``machine``.
 
         ``filesystem`` selects the I/O target mount (default mount when
-        ``None``); results are cached by content digest.
+        ``None``); results are cached by content digest.  A miss is a
+        one-vector :meth:`predict_many` evaluation.
         """
         machine = resolve_machine(machine)
         fs_name = filesystem if filesystem else machine.default_fs
@@ -145,47 +161,10 @@ class Predictor:
             self._cache.move_to_end(key)
             return cached
         self._misses += 1
-        prediction = self._evaluate(demand, machine, fs_name)
-        if self.cache_size:
-            self._cache[key] = prediction
-            if len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-        return prediction
-
-    def _evaluate(
-        self, demand: DemandVector, machine: MachineSpec, fs_name: str
-    ) -> Prediction:
-        cpu = machine.cpu
-        compute = 0.0
-        if demand.instructions > 0:
-            spec = cpu.spec(demand.workload_class)
-            cycles = demand.instructions / spec.ipc
-            if self.calibrated:
-                cycles *= spec.cycle_bias
-            workers = min(demand.threads, cpu.cores)
-            factor = (
-                machine.scaling_model(demand.paradigm).time_factor(workers)
-                if workers > 1
-                else 1.0
-            )
-            compute = cpu.seconds_for_cycles(cycles) * factor
-        io = 0.0
-        if demand.io_read_bytes > 0 or demand.io_write_bytes > 0:
-            fs = machine.filesystem(fs_name)
-            io = fs.io_time(
-                int(demand.io_read_bytes),
-                int(demand.io_write_bytes),
-                demand.io_block_size,
-            )
-        memory = machine.memory.alloc_time(
-            int(demand.mem_alloc_bytes), 1 << 20
-        ) + machine.memory.free_time(int(demand.mem_free_bytes), 1 << 20)
-        network = 0.0
-        if demand.net_bytes > 0:
-            nbytes = int(demand.net_bytes)
-            ops = -(-nbytes // demand.net_block_size)
-            network = ops * machine.net_latency + nbytes / machine.net_bandwidth
-        return Prediction(
+        compute, io, memory, network = self._components(
+            [demand], [machine], fs_name
+        )[:, 0, 0].tolist()
+        prediction = Prediction(
             machine=machine.name,
             compute_seconds=compute,
             io_seconds=io,
@@ -193,6 +172,11 @@ class Predictor:
             network_seconds=network,
             sleep_seconds=demand.sleep_seconds,
         )
+        if self.cache_size:
+            self._cache[key] = prediction
+            if len(self._cache) > self.cache_size:
+                self._cache.popitem(last=False)
+        return prediction
 
     # -- batch API -----------------------------------------------------------
 
@@ -204,72 +188,67 @@ class Predictor:
     ) -> np.ndarray:
         """Total predicted seconds for every (workload, machine) pair.
 
-        Returns an ``(n_demands, n_machines)`` float array.  The batch
-        path vectorises the component formulas with numpy instead of
-        calling :meth:`predict` per pair, which is what keeps exhaustive
-        candidate sweeps (thousands of pairs) in the millisecond range.
-        ``filesystem`` selects the I/O target mount on every machine
-        (each machine's default mount when ``None``), matching
-        :meth:`predict`'s parameter.
+        Returns an ``(n_demands, n_machines)`` float array whose entry
+        ``[i, j]`` equals ``predict(demands[i], machines[j]).seconds``
+        exactly.  The cost kernels run once per machine over all vectors,
+        which is what keeps exhaustive candidate sweeps (thousands of
+        pairs) in the millisecond range.  ``filesystem`` selects the I/O
+        target mount on every machine (each machine's default mount when
+        ``None``), matching :meth:`predict`'s parameter.
         """
         demands = list(demands)
         specs = [resolve_machine(m) for m in machines]
-        n = len(demands)
-        out = np.zeros((n, len(specs)), dtype=float)
-        if not n or not specs:
-            return out
-
-        instr = np.array([d.instructions for d in demands], dtype=float)
-        read = np.array([d.io_read_bytes for d in demands], dtype=float)
-        write = np.array([d.io_write_bytes for d in demands], dtype=float)
-        io_block = np.array([d.io_block_size for d in demands], dtype=float)
-        alloc = np.array([d.mem_alloc_bytes for d in demands], dtype=float)
-        freed = np.array([d.mem_free_bytes for d in demands], dtype=float)
-        net = np.array([d.net_bytes for d in demands], dtype=float)
-        net_block = np.array([d.net_block_size for d in demands], dtype=float)
+        if not demands or not specs:
+            return np.zeros((len(demands), len(specs)), dtype=float)
+        compute, io, memory, network = self._components(demands, specs, filesystem)
         sleep = np.array([d.sleep_seconds for d in demands], dtype=float)
-        threads = np.array([d.threads for d in demands], dtype=float)
-        classes = [d.workload_class for d in demands]
-        paradigms = [d.paradigm for d in demands]
+        return compute + io + memory + network + sleep[:, None]
 
-        read_ops = np.ceil(read / io_block)
-        write_ops = np.ceil(write / io_block)
-        alloc_ops = np.where(alloc > 0, np.maximum(1.0, np.ceil(alloc / float(1 << 20))), 0.0)
-        free_ops = np.where(freed > 0, np.maximum(1.0, np.ceil(freed / float(1 << 20))), 0.0)
-        net_ops = np.ceil(net / net_block)
+    def _components(
+        self,
+        demands: Sequence[DemandVector],
+        machines: Sequence[MachineSpec],
+        filesystem: str | None,
+    ) -> np.ndarray:
+        """Compute, I/O, memory and network seconds, ``(4, demands, machines)``.
 
-        for j, machine in enumerate(specs):
-            cpu = machine.cpu
-            class_specs = {c: cpu.spec(c) for c in set(classes)}
-            ipc = np.array([class_specs[c].ipc for c in classes])
-            cycles = instr / ipc
-            if self.calibrated:
-                cycles *= np.array([class_specs[c].cycle_bias for c in classes])
-            workers = np.minimum(threads, cpu.cores)
-            factor = np.array(
-                [
-                    machine.scaling_model(p).time_factor(int(w)) if w > 1 else 1.0
-                    for p, w in zip(paradigms, workers)
-                ]
-            )
-            t_cpu = cycles / cpu.frequency * factor
+        Each vector is costed as the demands :meth:`DemandVector.to_demands`
+        emits for it — byte counts truncated with ``int()`` the same way —
+        through the engine's own kernels: one compute demand (targeting
+        ``instructions / ipc`` cycles when ``calibrated``), one I/O demand
+        on ``filesystem``, one memory demand in the default block size and
+        one network send.
+        """
+        n = len(demands)
 
-            fs = machine.filesystem(filesystem)
-            hit = fs.cache_hit_fraction
-            t_io = (
-                read_ops * fs.read_latency
-                + read * (hit / fs.cache_bandwidth + (1.0 - hit) / fs.read_bandwidth)
-                + write_ops * fs.write_latency
-                + write / fs.write_bandwidth
+        def ints(name: str) -> np.ndarray:
+            return np.array([int(getattr(d, name)) for d in demands], dtype=np.int64)
+
+        instructions = np.array([d.instructions for d in demands], dtype=float)
+        class_names, classes = _intern([d.workload_class for d in demands])
+        paradigm_names, paradigms = _intern([d.paradigm for d in demands])
+        threads = ints("threads")
+        read, written, io_block = (
+            ints("io_read_bytes"), ints("io_write_bytes"), ints("io_block_size")
+        )
+        alloc, freed = ints("mem_alloc_bytes"), ints("mem_free_bytes")
+        net, net_block = ints("net_bytes"), ints("net_block_size")
+        mem_block = np.full(n, _MEM_BLOCK, dtype=np.int64)
+        zeros = np.zeros(n, dtype=np.int64)
+        out = np.zeros((4, n, len(machines)))
+        for j, machine in enumerate(machines):
+            bound = bind_compute(
+                machine, class_names, classes, paradigm_names, paradigms, threads
             )
-            mem = machine.memory
-            t_mem = (
-                alloc_ops * mem.alloc_latency
-                + alloc / mem.touch_bandwidth
-                + free_ops * mem.free_latency
-            )
-            t_net = net_ops * machine.net_latency + net / machine.net_bandwidth
-            out[:, j] = t_cpu + t_io + t_mem + t_net + sleep
+            target = instructions / bound.ipc if self.calibrated else np.full(n, np.nan)
+            out[0, :, j] = compute_costs(
+                machine, bound, instructions, target, zeros
+            )["duration"]
+            if read.any() or written.any():
+                fs = bind_io(machine, (filesystem,), zeros)
+                out[1, :, j] = io_costs(fs, read, written, io_block)["duration"]
+            out[2, :, j] = memory_costs(machine, alloc, freed, mem_block)["duration"]
+            out[3, :, j] = network_costs(machine, net, zeros, net_block)["duration"]
         return out
 
     # -- cache introspection -------------------------------------------------
@@ -289,3 +268,9 @@ class Predictor:
         self._machine_keys.clear()
         self._hits = 0
         self._misses = 0
+
+
+def _intern(names: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct ``names`` in first-seen order and each entry's code."""
+    table = {name: code for code, name in enumerate(dict.fromkeys(names))}
+    return tuple(table), np.array([table[name] for name in names], dtype=np.intp)

@@ -30,13 +30,16 @@ Array-first execution model
 
 :meth:`Engine.run` is written for throughput: many emulated runs per
 placement decision (closed-loop validation, E.7) make the engine itself
-the hot path.  One cheap Python pass *gathers* the workload — demand
-attributes land in flat per-type arrays, stream boundaries in index
-ranges — and everything afterwards is batched NumPy:
+the hot path.  Every input becomes a
+:class:`~repro.sim.packed.PackedWorkload` (object workloads are compiled
+by :func:`~repro.sim.packed.pack_workload`), whose columns are *bound*
+to the machine — parameters resolved once per distinct workload class,
+paradigm and filesystem — and everything afterwards is batched NumPy:
 
-1. per-type cost kernels evaluate every compute/I-O/memory/network
-   demand of the workload at once (the closed-form per-demand formulas
-   of the scalar reference methods :meth:`Engine._cost_compute` & co.);
+1. the per-type cost kernels and the phase-contention rule of
+   :mod:`repro.sim.costs` (the one cost model, shared with the
+   analytical predictor and the placement planner) evaluate every
+   compute/I-O/memory/network demand of the workload at once;
 2. noise is drawn as *one* RNG batch over a packed slot array holding,
    per demand, its duration followed by its counter amounts — the slot
    order and zero-skip rule reproduce the scalar draw stream bit for
@@ -45,9 +48,6 @@ ranges — and everything afterwards is batched NumPy:
    noisy durations (left-associated, matching scalar accumulation);
 4. counter timelines are built from packed ``(t0, t1, amount)`` arrays
    per counter name — no per-demand segment objects exist anywhere.
-
-The scalar costing methods are kept as the single-demand reference
-implementation (the analytical predictor mirrors them) and for tests.
 """
 
 from __future__ import annotations
@@ -57,19 +57,19 @@ from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.errors import WorkloadError
-from repro.sim.demands import (
-    ComputeDemand,
-    Demand,
-    IODemand,
-    MemoryDemand,
-    NetworkDemand,
-    SleepDemand,
+from repro.sim.costs import (
+    bind_compute,
+    bind_io,
+    compute_costs,
+    io_costs,
+    memory_costs,
+    network_costs,
+    phase_contention,
 )
 from repro.sim.noise import NoiseModel
-from repro.sim.packed import PackedWorkload
+from repro.sim.packed import PackedWorkload, pack_workload
 from repro.sim.resource import MachineSpec
-from repro.sim.workload import Phase, SimWorkload
+from repro.sim.workload import SimWorkload
 from repro.telemetry.spans import span
 from repro.util.timeseries import TimeSeries
 
@@ -191,74 +191,40 @@ class ExecutionRecord:
         return out
 
 
-#: Demand-type codes used by the gather pass.
+#: Demand-type codes (the packed workload's ``kinds`` values).
 _COMPUTE, _IO, _MEM, _NET, _SLEEP = range(5)
 #: Counter slots per demand type (for noise-slot packing).
 _COUNTER_SLOTS = np.array([5, 2, 2, 2, 0], dtype=np.int64)
-
 
 _EMPTY_POS = np.zeros(0, dtype=np.intp)
 
 
 class _Gather:
-    """Flat array-of-struct view of one workload (one Python pass).
+    """One window of packed demand columns bound to a machine.
 
+    Apart from the counts ``n``/``n_phases``, every field is an array.
     ``*_pos`` fields hold the global demand index of every demand of one
-    type, in execution order; the companion tuples hold that type's
-    attributes, unzipped from one row tuple per demand.  ``contention``
-    is the per-demand phase slowdown factor (CPU oversubscription for
-    compute, shared-filesystem streams for I/O, 1.0 otherwise).
+    type, in execution order, and the companion columns that type's
+    attributes; ``c_bind``/``i_bind`` hold the per-demand machine
+    parameters resolved by :mod:`repro.sim.costs` (``None`` when the
+    window has no demand of that type).  ``contention`` is the per-demand phase
+    slowdown factor (CPU oversubscription for compute, shared-filesystem
+    streams for I/O, 1.0 otherwise).
     """
 
     __slots__ = (
-        "n", "kinds", "contention", "streams", "n_phases",
-        "c_pos", "c_instr", "c_cc", "c_ipc", "c_bias", "c_sr", "c_ff",
-        "c_fpi", "c_factor", "c_over", "c_workers",
-        "i_pos", "i_read", "i_written", "i_block", "i_fs",
-        "i_rlat", "i_wlat", "i_rblend", "i_wbw",
+        "n", "n_phases", "kinds", "contention",
+        "stream_phase", "stream_first", "stream_end",
+        "c_pos", "c_instr", "c_cc", "c_fpi", "c_bind",
+        "i_pos", "i_read", "i_written", "i_block", "i_fs", "i_bind",
         "m_pos", "m_phase", "m_alloc", "m_free", "m_block",
         "n_pos", "n_sent", "n_recv", "n_block",
         "s_pos", "s_secs",
     )
 
-    def __init__(self) -> None:
-        self.n = 0
-        self.kinds: np.ndarray = _EMPTY_POS
-        self.contention: np.ndarray = np.zeros(0)
-        #: per stream: (phase index, first demand index, end demand index)
-        self.streams: list[tuple[int, int, int]] = []
-        self.n_phases = 0
-        self.c_pos = self.i_pos = self.m_pos = self.n_pos = self.s_pos = _EMPTY_POS
-        self.c_instr: tuple = ()
-        self.c_cc: tuple = ()
-        self.c_ipc: tuple = ()
-        self.c_bias: tuple = ()
-        self.c_sr: tuple = ()
-        self.c_ff: tuple = ()
-        self.c_fpi: tuple = ()
-        self.c_factor: tuple = ()
-        self.c_over: tuple = ()
-        self.c_workers: tuple = ()
-        self.i_read: tuple = ()
-        self.i_written: tuple = ()
-        self.i_block: tuple = ()
-        self.i_fs: tuple = ()
-        self.i_rlat: tuple = ()
-        self.i_wlat: tuple = ()
-        self.i_rblend: tuple = ()
-        self.i_wbw: tuple = ()
-        self.m_phase: tuple = ()
-        self.m_alloc: tuple = ()
-        self.m_free: tuple = ()
-        self.m_block: tuple = ()
-        self.n_sent: tuple = ()
-        self.n_recv: tuple = ()
-        self.n_block: tuple = ()
-        self.s_secs: tuple = ()
-
 
 class _Frame(NamedTuple):
-    """Result of executing one gathered window (a run or one batch)."""
+    """Result of executing one bound window (a run or one batch)."""
 
     duration: float
     counters: dict[str, TimeSeries]
@@ -277,510 +243,88 @@ class Engine:
         self.machine = machine
         self.noise = noise if noise is not None else NoiseModel.silent()
 
-    # -- scalar demand costing (reference implementation) --------------------
+    # -- bind pass -----------------------------------------------------------------
 
-    def _cost_compute(self, demand: ComputeDemand) -> tuple[float, dict[str, float]]:
-        cpu = self.machine.cpu
-        spec = cpu.spec(demand.workload_class)
-        if demand.calibrated_cycles is not None:
-            cycles = demand.calibrated_cycles * spec.cycle_bias
-            instructions = cycles * spec.ipc
-        else:
-            instructions = demand.instructions
-            cycles = cpu.cycles_for(instructions, demand.workload_class)
-        scaling = self.machine.scaling_model(demand.paradigm)
-        workers = min(demand.threads, cpu.cores)
-        factor = scaling.time_factor(workers) if workers > 1 else 1.0
-        overhead = scaling.overhead_cycles_fraction(workers) if workers > 1 else 0.0
-        cycles_total = cycles * (1.0 + overhead)
-        instr_total = instructions * (1.0 + overhead)
-        duration = cpu.seconds_for_cycles(cycles) * factor
-        stall_ratio = (
-            demand.stall_ratio if demand.stall_ratio is not None else spec.stall_ratio
-        )
-        stalled = cycles_total * stall_ratio
-        counters = {
-            "cpu.instructions": instr_total,
-            "cpu.cycles_used": cycles_total,
-            "cpu.cycles_stalled_front": stalled * spec.stall_front_fraction,
-            "cpu.cycles_stalled_back": stalled * (1.0 - spec.stall_front_fraction),
-            "cpu.flops": instr_total * demand.flops_per_instruction,
-        }
-        return duration, counters
+    def _bind(self, workload: SimWorkload | PackedWorkload) -> _Gather:
+        """Bind a workload's columns to this machine (the one input path).
 
-    def _cost_io(self, demand: IODemand) -> tuple[float, dict[str, float]]:
-        fs = self.machine.filesystem(demand.filesystem)
-        duration = fs.io_time(demand.bytes_read, demand.bytes_written, demand.block_size)
-        counters = {
-            "io.bytes_read": float(demand.bytes_read),
-            "io.bytes_written": float(demand.bytes_written),
-        }
-        return duration, counters
-
-    def _cost_memory(self, demand: MemoryDemand) -> tuple[float, dict[str, float]]:
-        mem = self.machine.memory
-        duration = mem.alloc_time(demand.allocate, demand.block_size) + mem.free_time(
-            demand.free, demand.block_size
-        )
-        counters = {
-            "mem.allocated": float(demand.allocate),
-            "mem.freed": float(demand.free),
-        }
-        return duration, counters
-
-    def _cost_network(self, demand: NetworkDemand) -> tuple[float, dict[str, float]]:
-        nbytes = demand.bytes_sent + demand.bytes_received
-        ops = -(-nbytes // demand.block_size) if nbytes else 0
-        duration = ops * self.machine.net_latency + nbytes / self.machine.net_bandwidth
-        counters = {
-            "net.bytes_written": float(demand.bytes_sent),
-            "net.bytes_read": float(demand.bytes_received),
-        }
-        return duration, counters
-
-    def _cost(self, demand: Demand) -> tuple[float, dict[str, float]]:
-        if isinstance(demand, ComputeDemand):
-            return self._cost_compute(demand)
-        if isinstance(demand, IODemand):
-            return self._cost_io(demand)
-        if isinstance(demand, MemoryDemand):
-            return self._cost_memory(demand)
-        if isinstance(demand, NetworkDemand):
-            return self._cost_network(demand)
-        if isinstance(demand, SleepDemand):
-            return demand.seconds, {}
-        raise WorkloadError(f"unsupported demand type {type(demand).__name__}")
-
-    # -- contention -----------------------------------------------------------
-
-    def _phase_factors(self, phase: Phase) -> tuple[float, dict[str, float]]:
-        """CPU and per-filesystem slowdown factors for one phase."""
+        Object workloads are compiled by :func:`pack_workload` first.
+        Machine parameters are resolved once per *distinct* workload
+        class / paradigm / filesystem name and fanned out to demands by
+        interned code; phase contention comes from the stream tables.
+        """
+        p = workload
+        if not isinstance(p, PackedWorkload):
+            p = pack_workload(p)
         cores = self.machine.cpu.cores
-        cpu_workers = 0
-        fs_streams: dict[str, int] = {}
-        for stream in phase.streams:
-            threads = [
-                min(d.threads, cores)
-                for d in stream.demands
-                if isinstance(d, ComputeDemand)
-            ]
-            if threads:
-                cpu_workers += max(threads)
-            fs_hit = {
-                d.filesystem for d in stream.demands if isinstance(d, IODemand)
-            }
-            for fs in fs_hit:
-                fs_streams[fs] = fs_streams.get(fs, 0) + 1
-        f_cpu = max(1.0, cpu_workers / cores)
-        f_io = {fs: max(1.0, float(n)) for fs, n in fs_streams.items()}
-        return f_cpu, f_io
-
-    # -- gather pass -------------------------------------------------------------
-
-    def _gather(self, workload: SimWorkload) -> _Gather:
-        """One Python pass: demand attributes into flat per-type arrays.
-
-        Phase contention bookkeeping (the per-phase CPU/filesystem
-        slowdown factors of :meth:`_phase_factors`) is folded into the
-        same pass, so the workload's demand objects are touched exactly
-        once.
-        """
-        cpu = self.machine.cpu
-        cores = cpu.cores
-        g = _Gather()
-        g.n_phases = len(workload.phases)
-        spec_cache: dict[str, tuple[float, float, float, float]] = {}
-        scale_cache: dict[tuple[str, int], tuple[float, float]] = {}
-        fs_cache: dict[str, tuple[float, float, float, float]] = {}
-
-        c_rows: list[tuple] = []
-        i_rows: list[tuple] = []
-        m_rows: list[tuple] = []
-        n_rows: list[tuple] = []
-        s_rows: list[tuple] = []
-        streams = g.streams
-        phase_firsts: list[int] = []
-        phase_f_cpu: list[float] = []
-        phase_f_io: list[dict[str, float]] = []
-
-        index = 0
-        for p_idx, phase in enumerate(workload.phases):
-            phase_firsts.append(index)
-            cpu_workers = 0
-            fs_streams: dict[str, int] = {}
-            for stream in phase.streams:
-                first = index
-                stream_workers = 0
-                stream_fs: set[str] | None = None
-                for demand in stream.demands:
-                    if isinstance(demand, ComputeDemand):
-                        wc = demand.workload_class
-                        spec_row = spec_cache.get(wc)
-                        if spec_row is None:
-                            spec = cpu.spec(wc)
-                            spec_row = (
-                                spec.ipc,
-                                spec.cycle_bias,
-                                spec.stall_ratio,
-                                spec.stall_front_fraction,
-                            )
-                            spec_cache[wc] = spec_row
-                        workers = demand.threads if demand.threads < cores else cores
-                        if workers > 1:
-                            key = (demand.paradigm, workers)
-                            scale_row = scale_cache.get(key)
-                            if scale_row is None:
-                                scaling = self.machine.scaling_model(demand.paradigm)
-                                scale_row = (
-                                    scaling.time_factor(workers),
-                                    scaling.overhead_cycles_fraction(workers),
-                                )
-                                scale_cache[key] = scale_row
-                        else:
-                            scale_row = (1.0, 0.0)
-                        stall = demand.stall_ratio
-                        c_rows.append((
-                            index,
-                            demand.instructions,
-                            np.nan
-                            if demand.calibrated_cycles is None
-                            else demand.calibrated_cycles,
-                            spec_row[0],
-                            spec_row[1],
-                            spec_row[2] if stall is None else stall,
-                            spec_row[3],
-                            demand.flops_per_instruction,
-                            scale_row[0],
-                            scale_row[1],
-                            workers,
-                        ))
-                        if workers > stream_workers:
-                            stream_workers = workers
-                    elif isinstance(demand, IODemand):
-                        fs_name = demand.filesystem
-                        fs_row = fs_cache.get(fs_name)
-                        if fs_row is None:
-                            fs = self.machine.filesystem(fs_name)
-                            hit = fs.cache_hit_fraction
-                            fs_row = (
-                                fs.read_latency,
-                                fs.write_latency,
-                                hit / fs.cache_bandwidth
-                                + (1.0 - hit) / fs.read_bandwidth,
-                                fs.write_bandwidth,
-                            )
-                            fs_cache[fs_name] = fs_row
-                        i_rows.append((
-                            index,
-                            demand.bytes_read,
-                            demand.bytes_written,
-                            demand.block_size,
-                            fs_name,
-                            fs_row[0],
-                            fs_row[1],
-                            fs_row[2],
-                            fs_row[3],
-                        ))
-                        if stream_fs is None:
-                            stream_fs = {fs_name}
-                        else:
-                            stream_fs.add(fs_name)
-                    elif isinstance(demand, MemoryDemand):
-                        m_rows.append((
-                            index,
-                            p_idx,
-                            demand.allocate,
-                            demand.free,
-                            demand.block_size,
-                        ))
-                    elif isinstance(demand, NetworkDemand):
-                        n_rows.append((
-                            index,
-                            demand.bytes_sent,
-                            demand.bytes_received,
-                            demand.block_size,
-                        ))
-                    elif isinstance(demand, SleepDemand):
-                        s_rows.append((index, demand.seconds))
-                    else:
-                        raise WorkloadError(
-                            f"unsupported demand type {type(demand).__name__}"
-                        )
-                    index += 1
-                streams.append((p_idx, first, index))
-                if stream_workers:
-                    cpu_workers += stream_workers
-                if stream_fs:
-                    for fs_name in stream_fs:
-                        fs_streams[fs_name] = fs_streams.get(fs_name, 0) + 1
-            phase_f_cpu.append(max(1.0, cpu_workers / cores))
-            phase_f_io.append(
-                {fs: max(1.0, float(count)) for fs, count in fs_streams.items()}
-            )
-        g.n = index
-
-        if c_rows:
-            (pos, g.c_instr, g.c_cc, g.c_ipc, g.c_bias, g.c_sr, g.c_ff,
-             g.c_fpi, g.c_factor, g.c_over, g.c_workers) = zip(*c_rows)
-            g.c_pos = np.asarray(pos, dtype=np.intp)
-        if i_rows:
-            (pos, g.i_read, g.i_written, g.i_block, g.i_fs,
-             g.i_rlat, g.i_wlat, g.i_rblend, g.i_wbw) = zip(*i_rows)
-            g.i_pos = np.asarray(pos, dtype=np.intp)
-        if m_rows:
-            pos, g.m_phase, g.m_alloc, g.m_free, g.m_block = zip(*m_rows)
-            g.m_pos = np.asarray(pos, dtype=np.intp)
-        if n_rows:
-            pos, g.n_sent, g.n_recv, g.n_block = zip(*n_rows)
-            g.n_pos = np.asarray(pos, dtype=np.intp)
-        if s_rows:
-            pos, g.s_secs = zip(*s_rows)
-            g.s_pos = np.asarray(pos, dtype=np.intp)
-
-        g.kinds = np.zeros(index, dtype=np.int64)
-        g.kinds[g.i_pos] = _IO
-        g.kinds[g.m_pos] = _MEM
-        g.kinds[g.n_pos] = _NET
-        g.kinds[g.s_pos] = _SLEEP
-
-        contention = np.ones(index)
-        if g.c_pos.size:
-            counts = np.diff(np.asarray(phase_firsts + [index]))
-            f_cpu_per_demand = np.repeat(np.asarray(phase_f_cpu), counts)
-            contention[g.c_pos] = f_cpu_per_demand[g.c_pos]
-        if g.i_pos.size:
-            i_phases = np.searchsorted(
-                np.asarray(phase_firsts), g.i_pos, side="right"
-            ) - 1
-            contention[g.i_pos] = [
-                phase_f_io[p][fs] for p, fs in zip(i_phases, g.i_fs)
-            ]
-        g.contention = contention
-        return g
-
-    # -- columnar bind pass ------------------------------------------------------
-
-    def _bind(self, p: PackedWorkload) -> _Gather:
-        """Bind packed columns to this machine: the zero-object gather.
-
-        The per-demand Python loop of :meth:`_gather` collapses to a
-        handful of vectorised lookups — machine parameters are resolved
-        once per *distinct* workload class / paradigm / filesystem name
-        and fanned out to demands by interned code.  The resulting view
-        is value-identical to gathering the equivalent object workload,
-        so execution downstream is bit-identical.
-        """
-        cpu = self.machine.cpu
-        cores = cpu.cores
         g = _Gather()
         g.n = p.n
         g.n_phases = p.n_phases
         g.kinds = p.kinds
-        g.streams = list(
-            zip(p.stream_phase.tolist(), p.stream_first.tolist(), p.stream_end.tolist())
-        )
-        counts = p.stream_end - p.stream_first
-        demand_phase = np.repeat(p.stream_phase, counts)
-        contention = np.ones(p.n)
+        g.stream_phase = p.stream_phase
+        g.stream_first = p.stream_first
+        g.stream_end = p.stream_end
+        demand_phase = np.repeat(p.stream_phase, p.stream_end - p.stream_first)
 
-        workers = _EMPTY_POS
+        g.c_pos, g.c_instr, g.c_cc, g.c_fpi = p.c_pos, p.c_instr, p.c_cc, p.c_fpi
+        g.c_bind = None
+        cpu_phase = cpu_workers = _EMPTY_POS
         if p.c_pos.size:
-            g.c_pos = p.c_pos
-            g.c_instr = p.c_instr
-            g.c_cc = p.c_cc
-            g.c_fpi = p.c_fpi
-            n_cls = len(p.class_names)
-            ipc_t = np.empty(n_cls)
-            bias_t = np.empty(n_cls)
-            sr_t = np.empty(n_cls)
-            ff_t = np.empty(n_cls)
-            for code, wc in enumerate(p.class_names):
-                spec = cpu.spec(wc)
-                ipc_t[code] = spec.ipc
-                bias_t[code] = spec.cycle_bias
-                sr_t[code] = spec.stall_ratio
-                ff_t[code] = spec.stall_front_fraction
-            cls = p.c_class
-            g.c_ipc = ipc_t[cls]
-            g.c_bias = bias_t[cls]
-            g.c_ff = ff_t[cls]
-            g.c_sr = np.where(np.isnan(p.c_sr), sr_t[cls], p.c_sr)
-            workers = np.minimum(p.c_threads, cores)
-            g.c_workers = workers
-            factor = np.ones(workers.size)
-            over = np.zeros(workers.size)
-            multi = workers > 1
-            if multi.any():
-                # Resolve scaling once per distinct (paradigm, workers).
-                key = p.c_paradigm[multi] * (cores + 1) + workers[multi]
-                uniq, inv = np.unique(key, return_inverse=True)
-                f_u = np.empty(uniq.size)
-                o_u = np.empty(uniq.size)
-                for u_idx, k in enumerate(uniq.tolist()):
-                    scaling = self.machine.scaling_model(
-                        p.paradigm_names[k // (cores + 1)]
-                    )
-                    w = int(k % (cores + 1))
-                    f_u[u_idx] = scaling.time_factor(w)
-                    o_u[u_idx] = scaling.overhead_cycles_fraction(w)
-                factor[multi] = f_u[inv]
-                over[multi] = o_u[inv]
-            g.c_factor = factor
-            g.c_over = over
-
-            # Phase CPU contention: sum of each stream's max worker count.
+            g.c_bind = bind_compute(
+                self.machine, p.class_names, p.c_class,
+                p.paradigm_names, p.c_paradigm, p.c_threads, p.c_sr,
+            )
+            # One entry per computing stream: its phase and max workers.
             c_stream = np.searchsorted(p.stream_first, p.c_pos, side="right") - 1
-            seg_starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(c_stream)) + 1)
+            seg_starts = np.concatenate(([0], np.flatnonzero(np.diff(c_stream)) + 1))
+            cpu_workers = np.maximum.reduceat(
+                g.c_bind.workers.astype(float), seg_starts
             )
-            seg_max = np.maximum.reduceat(workers.astype(float), seg_starts)
-            phase_workers = np.bincount(
-                p.stream_phase[c_stream[seg_starts]],
-                weights=seg_max,
-                minlength=p.n_phases,
-            )
-            f_cpu = np.maximum(1.0, phase_workers / cores)
-            contention[p.c_pos] = f_cpu[demand_phase[p.c_pos]]
+            cpu_phase = p.stream_phase[c_stream[seg_starts]]
 
+        g.i_pos, g.i_read, g.i_written, g.i_block = (
+            p.i_pos, p.i_read, p.i_written, p.i_block,
+        )
+        g.i_fs = np.asarray(p.fs_names, dtype=object)[p.i_fs]
+        g.i_bind = None
+        n_fs = len(p.fs_names)
+        io_phase = io_fs = _EMPTY_POS
         if p.i_pos.size:
-            g.i_pos = p.i_pos
-            g.i_read = p.i_read
-            g.i_written = p.i_written
-            g.i_block = p.i_block
-            n_fs = len(p.fs_names)
-            rlat = np.empty(n_fs)
-            wlat = np.empty(n_fs)
-            rblend = np.empty(n_fs)
-            wbw = np.empty(n_fs)
-            for code, fs_name in enumerate(p.fs_names):
-                fs = self.machine.filesystem(fs_name)
-                hit = fs.cache_hit_fraction
-                rlat[code] = fs.read_latency
-                wlat[code] = fs.write_latency
-                rblend[code] = hit / fs.cache_bandwidth + (1.0 - hit) / fs.read_bandwidth
-                wbw[code] = fs.write_bandwidth
-            g.i_rlat = rlat[p.i_fs]
-            g.i_wlat = wlat[p.i_fs]
-            g.i_rblend = rblend[p.i_fs]
-            g.i_wbw = wbw[p.i_fs]
-            g.i_fs = np.asarray(p.fs_names, dtype=object)[p.i_fs]
-
-            # Per-(phase, filesystem) stream counts → I/O contention.
+            g.i_bind = bind_io(self.machine, p.fs_names, p.i_fs)
+            # One entry per distinct (stream, filesystem) pair.
             i_stream = np.searchsorted(p.stream_first, p.i_pos, side="right") - 1
             pair = np.unique(i_stream * n_fs + p.i_fs)
-            fs_streams = np.zeros((p.n_phases, n_fs))
-            np.add.at(fs_streams, (p.stream_phase[pair // n_fs], pair % n_fs), 1.0)
-            f_io = np.maximum(1.0, fs_streams)
+            io_phase = p.stream_phase[pair // n_fs]
+            io_fs = pair % n_fs
+
+        contention = np.ones(p.n)
+        if p.c_pos.size or p.i_pos.size:
+            f_cpu, f_io = phase_contention(
+                cores, p.n_phases, cpu_phase, cpu_workers, io_phase, io_fs, n_fs
+            )
+            contention[p.c_pos] = f_cpu[demand_phase[p.c_pos]]
             contention[p.i_pos] = f_io[demand_phase[p.i_pos], p.i_fs]
-
-        if p.m_pos.size:
-            g.m_pos = p.m_pos
-            g.m_alloc = p.m_alloc
-            g.m_free = p.m_free
-            g.m_block = p.m_block
-            g.m_phase = demand_phase[p.m_pos]
-        if p.net_pos.size:
-            g.n_pos = p.net_pos
-            g.n_sent = p.net_sent
-            g.n_recv = p.net_recv
-            g.n_block = p.net_block
-        if p.s_pos.size:
-            g.s_pos = p.s_pos
-            g.s_secs = p.s_secs
-
         g.contention = contention
+
+        g.m_pos, g.m_alloc, g.m_free, g.m_block = (
+            p.m_pos, p.m_alloc, p.m_free, p.m_block,
+        )
+        g.m_phase = demand_phase[p.m_pos]
+        g.n_pos, g.n_sent, g.n_recv, g.n_block = (
+            p.net_pos, p.net_sent, p.net_recv, p.net_block,
+        )
+        g.s_pos, g.s_secs = p.s_pos, p.s_secs
         return g
-
-    # -- batched cost kernels ----------------------------------------------------
-
-    def _compute_costs(self, g: _Gather) -> dict[str, np.ndarray]:
-        """Vectorised :meth:`_cost_compute` over all compute demands."""
-        instr_in = np.asarray(g.c_instr)
-        cc = np.asarray(g.c_cc)
-        ipc = np.asarray(g.c_ipc)
-        bias = np.asarray(g.c_bias)
-        with np.errstate(invalid="ignore"):
-            has_cc = ~np.isnan(cc)
-            cycles = np.where(has_cc, cc * bias, instr_in / ipc)
-            instructions = np.where(has_cc, cycles * ipc, instr_in)
-        over = np.asarray(g.c_over)
-        cycles_total = cycles * (1.0 + over)
-        instr_total = instructions * (1.0 + over)
-        duration = (cycles / self.machine.cpu.frequency) * np.asarray(g.c_factor)
-        stalled = cycles_total * np.asarray(g.c_sr)
-        front_fraction = np.asarray(g.c_ff)
-        return {
-            "duration": duration,
-            "cpu.instructions": instr_total,
-            "cpu.cycles_used": cycles_total,
-            "cpu.cycles_stalled_front": stalled * front_fraction,
-            "cpu.cycles_stalled_back": stalled * (1.0 - front_fraction),
-            "cpu.flops": instr_total * np.asarray(g.c_fpi),
-        }
-
-    @staticmethod
-    def _io_costs(g: _Gather) -> dict[str, np.ndarray]:
-        """Vectorised :meth:`_cost_io` over all I/O demands."""
-        nread = np.asarray(g.i_read, dtype=float)
-        nwritten = np.asarray(g.i_written, dtype=float)
-        block = np.asarray(g.i_block, dtype=float)
-        read_ops = np.ceil(nread / block)
-        write_ops = np.ceil(nwritten / block)
-        read_time = np.where(
-            nread > 0, read_ops * np.asarray(g.i_rlat) + nread * np.asarray(g.i_rblend), 0.0
-        )
-        write_time = np.where(
-            nwritten > 0,
-            write_ops * np.asarray(g.i_wlat) + nwritten / np.asarray(g.i_wbw),
-            0.0,
-        )
-        return {
-            "duration": read_time + write_time,
-            "io.bytes_read": nread,
-            "io.bytes_written": nwritten,
-        }
-
-    def _memory_costs(self, g: _Gather) -> dict[str, np.ndarray]:
-        """Vectorised :meth:`_cost_memory` over all memory demands."""
-        mem = self.machine.memory
-        alloc = np.asarray(g.m_alloc, dtype=np.int64)
-        freed = np.asarray(g.m_free, dtype=np.int64)
-        block = np.asarray(g.m_block, dtype=np.int64)
-        alloc_ops = np.maximum(1, -(-alloc // block))
-        free_ops = np.maximum(1, -(-freed // block))
-        alloc_time = np.where(
-            alloc > 0, alloc_ops * mem.alloc_latency + alloc / mem.touch_bandwidth, 0.0
-        )
-        free_time = np.where(freed > 0, free_ops * mem.free_latency, 0.0)
-        return {
-            "duration": alloc_time + free_time,
-            "mem.allocated": alloc.astype(float),
-            "mem.freed": freed.astype(float),
-        }
-
-    def _network_costs(self, g: _Gather) -> dict[str, np.ndarray]:
-        """Vectorised :meth:`_cost_network` over all network demands."""
-        sent = np.asarray(g.n_sent, dtype=np.int64)
-        recv = np.asarray(g.n_recv, dtype=np.int64)
-        block = np.asarray(g.n_block, dtype=np.int64)
-        nbytes = sent + recv
-        ops = -(-nbytes // block)
-        duration = ops * self.machine.net_latency + nbytes / self.machine.net_bandwidth
-        return {
-            "duration": duration,
-            "net.bytes_written": sent.astype(float),
-            "net.bytes_read": recv.astype(float),
-        }
 
     # -- execution ---------------------------------------------------------------
 
     def run(self, workload: SimWorkload | PackedWorkload) -> ExecutionRecord:
         """Execute a workload; returns its full observable history.
 
-        Accepts the object form (``SimWorkload``) and the columnar form
-        (:class:`~repro.sim.packed.PackedWorkload`) interchangeably —
-        both produce bit-identical records; the packed form skips the
-        per-demand gather pass entirely.
+        Accepts the object form (``SimWorkload``, compiled on entry by
+        :func:`~repro.sim.packed.pack_workload`) and the columnar form
+        (:class:`~repro.sim.packed.PackedWorkload`) interchangeably;
+        both take the same bind-and-execute path.
         """
         with span(
             "engine.run", workload=workload.name, machine=self.machine.name
@@ -790,11 +334,7 @@ class Engine:
         return record
 
     def _run(self, workload: SimWorkload | PackedWorkload) -> ExecutionRecord:
-        if isinstance(workload, PackedWorkload):
-            g = self._bind(workload)
-        else:
-            g = self._gather(workload)
-        frame = self._execute(g, float(workload.base_rss))
+        frame = self._execute(self._bind(workload), float(workload.base_rss))
         metadata = dict(workload.metadata)
         metadata.setdefault("workload_name", workload.name)
         return ExecutionRecord(
@@ -817,7 +357,7 @@ class Engine:
         peak0: float | None = None,
         initial: dict[str, tuple[float, float, float]] | None = None,
     ) -> "_Frame":
-        """Cost, noise and timeline for one gathered window of demands.
+        """Cost, noise and timeline for one bound window of demands.
 
         With the default arguments this executes a whole workload from
         virtual time zero (the :meth:`run` path).  The streaming path
@@ -829,19 +369,19 @@ class Engine:
         n = g.n
 
         costs: dict[int, dict[str, np.ndarray]] = {}
-        base_duration = np.zeros(n)
-        if g.c_pos.size:
-            costs[_COMPUTE] = self._compute_costs(g)
-            base_duration[g.c_pos] = costs[_COMPUTE]["duration"]
-        if g.i_pos.size:
-            costs[_IO] = self._io_costs(g)
-            base_duration[g.i_pos] = costs[_IO]["duration"]
+        if g.c_bind is not None:
+            costs[_COMPUTE] = compute_costs(
+                self.machine, g.c_bind, g.c_instr, g.c_cc, g.c_fpi
+            )
+        if g.i_bind is not None:
+            costs[_IO] = io_costs(g.i_bind, g.i_read, g.i_written, g.i_block)
         if g.m_pos.size:
-            costs[_MEM] = self._memory_costs(g)
-            base_duration[g.m_pos] = costs[_MEM]["duration"]
+            costs[_MEM] = memory_costs(self.machine, g.m_alloc, g.m_free, g.m_block)
         if g.n_pos.size:
-            costs[_NET] = self._network_costs(g)
-            base_duration[g.n_pos] = costs[_NET]["duration"]
+            costs[_NET] = network_costs(self.machine, g.n_sent, g.n_recv, g.n_block)
+        base_duration = np.zeros(n)
+        for kind, group in costs.items():
+            base_duration[_positions(g, kind)] = group["duration"]
         if g.s_pos.size:
             base_duration[g.s_pos] = g.s_secs
 
@@ -935,7 +475,8 @@ class Engine:
         if noise.silent_model:
             out: dict[str, np.ndarray] = {"duration": durations}
             for kind, group in costs.items():
-                out.update(_named_counters(kind, group))
+                for name in _KIND_COUNTERS[kind]:
+                    out[name] = group[name]
             return out
 
         slots = _COUNTER_SLOTS[g.kinds] + 1
@@ -948,18 +489,16 @@ class Engine:
         values[bases] = durations
         sigmas[bases] = noise.duration_sigma
         for kind, group in costs.items():
-            pos = _positions(g, kind)
-            group_bases = bases[pos]
-            for slot, (_, amounts) in enumerate(_counter_items(kind, group), start=1):
-                values[group_bases + slot] = amounts
+            group_bases = bases[_positions(g, kind)]
+            for slot, name in enumerate(_KIND_COUNTERS[kind], start=1):
+                values[group_bases + slot] = group[name]
 
         noisy = noise.apply(values, sigmas)
 
         out = {"duration": noisy[bases]}
-        for kind, group in costs.items():
-            pos = _positions(g, kind)
-            group_bases = bases[pos]
-            for slot, (name, _) in enumerate(_counter_items(kind, group), start=1):
+        for kind in costs:
+            group_bases = bases[_positions(g, kind)]
+            for slot, name in enumerate(_KIND_COUNTERS[kind], start=1):
                 out[name] = noisy[group_bases + slot]
         return out
 
@@ -980,7 +519,9 @@ class Engine:
         t1 = np.empty(g.n)
         phase_bounds: list[tuple[float, float]] = []
         t_phase = float(t_start)
-        stream_iter = iter(g.streams)
+        stream_iter = zip(
+            g.stream_phase.tolist(), g.stream_first.tolist(), g.stream_end.tolist()
+        )
         pending = next(stream_iter, None)
         for p_idx in range(g.n_phases):
             phase_end = t_phase
@@ -1129,11 +670,8 @@ class Engine:
             # per demand, and each segment's cumsum reproduces the
             # scalar left fold bit for bit.
             whens = t1[g.m_pos]
-            deltas = (
-                np.asarray(g.m_alloc, dtype=np.int64)
-                - np.asarray(g.m_free, dtype=np.int64)
-            ).astype(float)
-            order = np.lexsort((deltas, whens, np.asarray(g.m_phase)))
+            deltas = (g.m_alloc - g.m_free).astype(float)
+            order = np.lexsort((deltas, whens, g.m_phase))
             whens = whens[order]
             deltas = deltas[order]
             folded = np.empty(deltas.size)
@@ -1176,16 +714,15 @@ class Engine:
     ) -> TimeSeries:
         """Active-worker level series, fully vectorised.
 
-        Equivalent to feeding every multi-threaded compute demand's
-        ``(start, +workers-1)`` / ``(end, -(workers-1))`` event pair into
-        the scalar :func:`_thread_series` accumulation: events sort by
-        ``(time, delta)``, the running level starts at one worker, and
-        recorded levels clamp at one.  (No cross-window carry is needed:
+        Every multi-threaded compute demand contributes a
+        ``(start, +workers-1)`` / ``(end, -(workers-1))`` event pair:
+        events sort by ``(time, delta)``, the running level starts at one
+        worker, and recorded levels clamp at one.  (No cross-window carry is needed:
         windows start at phase barriers, where every stream has joined.)
         """
         if not g.c_pos.size:
             return TimeSeries([t_lo, t_hi], [1.0, 1.0])
-        workers = np.asarray(g.c_workers, dtype=float)
+        workers = g.c_bind.workers.astype(float)
         multi = workers > 1
         if not multi.any():
             return TimeSeries([t_lo, t_hi], [1.0, 1.0])
@@ -1235,18 +772,6 @@ def _idle_intervals(n_bps: int, i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
     np.add.at(steps, i0, 1)
     np.add.at(steps, i1, -1)
     return np.cumsum(steps)[:-1] == 0
-
-
-def _counter_items(
-    kind: int, group: dict[str, np.ndarray]
-) -> list[tuple[str, np.ndarray]]:
-    return [(name, group[name]) for name in _KIND_COUNTERS[kind]]
-
-
-def _named_counters(
-    kind: int, group: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    return {name: group[name] for name in _KIND_COUNTERS[kind]}
 
 
 def _step_series(
@@ -1308,19 +833,6 @@ def _step_series_arrays(
     out_t[-1] = t_hi if t_hi > last_t else last_t
     out_v[-1] = values[-1]
     return TimeSeries.presorted(out_t, out_v)
-
-
-def _thread_series(deltas: Sequence[tuple[float, float]], duration: float) -> TimeSeries:
-    """Active-worker level over time from +/- delta events (base 1)."""
-    if not deltas:
-        return TimeSeries([0.0, duration], [1.0, 1.0])
-    events = sorted(deltas)
-    steps: list[tuple[float, float]] = []
-    level = 1.0
-    for when, delta in events:
-        level += delta
-        steps.append((when, max(1.0, level)))
-    return _step_series([(0.0, 1.0)] + steps, 0.0, duration)
 
 
 def _running_max(series: TimeSeries, floor: float | None = None) -> TimeSeries:

@@ -3,16 +3,15 @@
 A :class:`PackedWorkload` holds the exact information content of a
 :class:`~repro.sim.workload.SimWorkload` — demand parameters, stream
 segmentation, phase barriers — as flat NumPy columns instead of
-per-demand Python objects.  It is the zero-object input format of the
-engine's hot path: :meth:`repro.sim.engine.Engine.run` binds the columns
-to a machine model with a handful of vectorised lookups (the per-demand
-"gather" pass of the object path becomes a no-op), so a 10⁶-demand run
-never materialises 10⁶ ``Demand`` instances.
+per-demand Python objects.  It is the engine's only input format:
+:meth:`repro.sim.engine.Engine.run` binds the columns to a machine model
+with a handful of vectorised lookups, so a 10⁶-demand run built in
+columns never materialises 10⁶ ``Demand`` instances.
 
 Three ways to obtain one:
 
 * :func:`pack_workload` compiles an existing object workload in one
-  pass (the compatibility path — bit-identical execution guaranteed);
+  pass (what the engine does on entry with a ``SimWorkload``);
 * :class:`PackedBuilder` builds columns directly with the same
   phase/stream/demand vocabulary as ``SimWorkload`` (what the
   application models' ``build_packed`` methods use);
@@ -50,7 +49,7 @@ from repro.telemetry.spans import span
 
 __all__ = ["PackedWorkload", "PackedBuilder", "pack_workload"]
 
-#: Demand-kind codes (shared with the engine's gather pass).
+#: Demand-kind codes (the ``kinds`` column; shared with the engine).
 KIND_COMPUTE, KIND_IO, KIND_MEM, KIND_NET, KIND_SLEEP = range(5)
 
 _EMPTY_IDX = np.zeros(0, dtype=np.intp)
@@ -618,10 +617,9 @@ class PackedBuilder:
 def pack_workload(workload: SimWorkload) -> PackedWorkload:
     """Compile an object workload into columns (one Python pass).
 
-    The compiled form executes **bit-identically** to the original:
-    demand order, stream segmentation and attribute values are preserved
-    exactly, so seeded noisy runs of the packed and object forms draw
-    the same RNG stream and produce the same record.
+    Demand order, stream segmentation and attribute values are preserved
+    exactly; :meth:`~repro.sim.engine.Engine.run` calls this on every
+    object workload, so both forms take the same execution path.
     """
     with span("engine.pack", workload=workload.name) as sp:
         builder = PackedBuilder(

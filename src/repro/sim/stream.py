@@ -29,7 +29,7 @@ from typing import Any, Iterable
 from repro.core.errors import WorkloadError
 from repro.sim.engine import Engine, ExecutionRecord
 from repro.sim.noise import NoiseModel
-from repro.sim.packed import PackedWorkload, pack_workload
+from repro.sim.packed import PackedWorkload
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
 from repro.telemetry.events import get_bus
@@ -70,8 +70,7 @@ class EngineStream:
         continue from the carried RSS/peak.  Counters seen in earlier
         batches but idle in this one appear as flat carried series.
         """
-        packed = batch if isinstance(batch, PackedWorkload) else pack_workload(batch)
-        g = self.engine._bind(packed)
+        g = self.engine._bind(batch)
         frame = self.engine._execute(
             g,
             float(self.base_rss),
@@ -93,7 +92,7 @@ class EngineStream:
             workload=self.name,
             machine=self.engine.machine.name,
             batch=index,
-            demands=packed.n,
+            demands=g.n,
             phases=len(frame.phase_bounds),
             t_end=self.t,
         )

@@ -269,11 +269,11 @@ class TrafficSim:
                 machines=self.fleet.active_count,
             )
             if self.autoscale and self.n_done == self._next_eval:
-                self._evaluate(stats["t_last"])
+                self._autoscale_step(stats["t_last"])
                 self._next_eval += self.autoscale.every
         self._wall += time.perf_counter() - started
 
-    def _evaluate(self, t: float) -> None:
+    def _autoscale_step(self, t: float) -> None:
         policy = self.autoscale
         p99 = self._window.quantile(0.99) if self._window.count else 0.0
         get_registry().observe("traffic.window_p99", p99)

@@ -318,8 +318,4 @@ def unit_seconds(
         from repro.predict.predictor import Predictor  # noqa: PLC0415 (lazy)
 
         predictor = Predictor()
-    out = np.empty((len(classes), len(machines)), dtype=np.float64)
-    for ci, cls in enumerate(classes):
-        for mi, machine in enumerate(machines):
-            out[ci, mi] = predictor.predict(cls.vector, machine).seconds
-    return out
+    return predictor.predict_many([cls.vector for cls in classes], machines)

@@ -8,7 +8,7 @@ import pytest
 from repro.predict.models import DemandVector
 from repro.predict.predictor import Predictor
 from repro.sim.engine import Engine
-from repro.sim.machines import get_machine
+from repro.sim.machines import get_machine, list_machines
 from repro.sim.noise import NoiseModel
 from repro.sim.workload import SimWorkload
 
@@ -23,6 +23,31 @@ VECTORS = [
     DemandVector(instructions=2e9, threads=4, paradigm="openmp"),
     DemandVector(sleep_seconds=1.5),
 ]
+
+
+def random_vector(rng: np.random.Generator, kind: str) -> DemandVector:
+    """A random vector: whole byte counts, fractional ones, or scaled."""
+
+    def amount(high: float) -> float:
+        value = float(rng.uniform(0, high)) if rng.integers(0, 3) else 0.0
+        return value if kind == "fractional" else float(int(value))
+
+    vector = DemandVector(
+        instructions=amount(1e10),
+        flops=amount(1e9),
+        io_read_bytes=amount(1e8),
+        io_write_bytes=amount(1e8),
+        mem_alloc_bytes=amount(1e9),
+        mem_free_bytes=amount(1e8),
+        net_bytes=amount(1e7),
+        sleep_seconds=float(rng.uniform(0, 1)) if rng.integers(0, 2) else 0.0,
+        workload_class=str(rng.choice(["app.generic", "app.md", "kernel.asm"])),
+        threads=int(rng.integers(1, 48)),
+        paradigm=str(rng.choice(["serial", "openmp", "mpi"])),
+        io_block_size=int(rng.integers(1, 1 << 21)),
+        net_block_size=int(rng.integers(1, 1 << 17)),
+    )
+    return vector.scaled(0.37) if kind == "scaled" else vector
 
 
 def emulated_seconds(vector: DemandVector, machine_name: str) -> float:
@@ -136,6 +161,30 @@ class TestPredictMany:
                 assert matrix[i, j] == pytest.approx(
                     predictor.predict(vector, machine).seconds, rel=1e-9
                 )
+
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["plain", "calibrated"])
+    @pytest.mark.parametrize("kind", ["integer", "fractional", "scaled"])
+    def test_batch_equals_single_pair_exactly(self, kind, calibrated):
+        rng = np.random.default_rng(2016)
+        vectors = [random_vector(rng, kind) for _ in range(40)]
+        machines = list_machines()
+        predictor = Predictor(calibrated=calibrated)
+        matrix = predictor.predict_many(vectors, machines)
+        for i, vector in enumerate(vectors):
+            for j, machine in enumerate(machines):
+                assert matrix[i, j] == predictor.predict(vector, machine).seconds
+
+    def test_fractional_bytes_truncate_like_single_pair_api(self):
+        vector = DemandVector(
+            io_read_bytes=1.5e6 + 0.5,
+            io_write_bytes=3.3e6 + 0.7,
+            mem_alloc_bytes=2**20 + 0.5,
+            net_bytes=1e6 + 0.9,
+        )
+        predictor = Predictor()
+        single = predictor.predict(vector, "stampede").seconds
+        assert predictor.predict_many([vector], ["stampede"])[0, 0] == single
+        assert single == pytest.approx(emulated_seconds(vector, "stampede"), rel=1e-12)
 
     def test_calibrated_batch_matches_single(self):
         predictor = Predictor(calibrated=True)

@@ -1,19 +1,33 @@
 """Columnar (packed) workloads: builder fidelity and engine bit-identity.
 
-The packed plane's contract is *exact* equivalence, not tolerance: the
-engine's ``_bind`` over a :class:`PackedWorkload` must produce the same
-gather — and therefore bit-identical records — as ``_gather`` over the
-equivalent :class:`SimWorkload`, silent or noisy.  These tests pin that
-on randomised workloads covering all five demand types, contention
-phases, and every direct ``build_packed`` builder in the tree.
+The packed plane's contract is *exact* equivalence, not tolerance.  Every
+engine input takes one path (``pack_workload`` for object workloads, then
+one bind pass), so object and packed runs are pinned to an independent
+reference instead of to each other: full-record digests that the former
+per-demand gather path produced over the same randomised workloads
+(``fixtures/packed_records.json``, see ``gen_packed_fixtures.py``).  The
+randomised workloads cover all five demand types and contention phases,
+silent and noisy; the builder tests pin every direct ``build_packed``
+builder in the tree to the compiler.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
 import pytest
+from gen_packed_fixtures import (
+    FIXTURE_PATH,
+    MACHINES,
+    RUN_MANY_CASE,
+    SEEDS,
+    case_key,
+    make_noise,
+    random_workload,
+    record_digest,
+)
 
 from repro.apps import EnsembleApp, GromacsModel, SleeperApp, SyntheticApp
 from repro.apps.ensemble import EnsembleStage
@@ -38,67 +52,6 @@ from repro.sim.workload import Phase, SimWorkload, Stream
 
 
 # -- helpers -----------------------------------------------------------------
-
-
-def random_workload(rng: np.random.Generator, machine, name: str = "rand") -> SimWorkload:
-    """A randomised workload exercising all five demand types and
-    multi-stream (contention) phases."""
-    filesystems = sorted(machine.filesystems)
-    workload = SimWorkload(name=name, base_rss=int(rng.integers(1 << 20, 8 << 20)))
-    for p in range(int(rng.integers(1, 5))):
-        phase = workload.phase(f"p{p}")
-        for s in range(int(rng.integers(1, 4))):
-            stream = phase.stream(f"s{s}")
-            for _ in range(int(rng.integers(0, 6))):
-                kind = int(rng.integers(0, 5))
-                if kind == 0:
-                    stream.add(
-                        ComputeDemand(
-                            instructions=float(rng.uniform(1e6, 1e9)),
-                            workload_class=str(
-                                rng.choice(["app.generic", "app.md", "app.startup"])
-                            ),
-                            flops_per_instruction=float(rng.uniform(0, 1)),
-                            threads=int(rng.integers(1, 8)),
-                            paradigm=str(rng.choice(["serial", "openmp", "mpi"])),
-                            calibrated_cycles=(
-                                float(rng.uniform(1e6, 1e9))
-                                if rng.integers(0, 2)
-                                else None
-                            ),
-                            stall_ratio=(
-                                float(rng.uniform(0, 2)) if rng.integers(0, 2) else None
-                            ),
-                        )
-                    )
-                elif kind == 1:
-                    stream.add(
-                        IODemand(
-                            bytes_read=int(rng.integers(0, 1 << 24)),
-                            bytes_written=int(rng.integers(0, 1 << 24)),
-                            block_size=int(rng.integers(1, 1 << 21)),
-                            filesystem=str(rng.choice(filesystems)),
-                        )
-                    )
-                elif kind == 2:
-                    stream.add(
-                        MemoryDemand(
-                            allocate=int(rng.integers(0, 1 << 26)),
-                            free=int(rng.integers(0, 1 << 24)),
-                            block_size=int(rng.integers(1, 1 << 21)),
-                        )
-                    )
-                elif kind == 3:
-                    stream.add(
-                        NetworkDemand(
-                            bytes_sent=int(rng.integers(0, 1 << 20)),
-                            bytes_received=int(rng.integers(0, 1 << 20)),
-                            block_size=int(rng.integers(1, 1 << 17)),
-                        )
-                    )
-                else:
-                    stream.add(SleepDemand(float(rng.uniform(0, 0.5))))
-    return workload
 
 
 def assert_packed_equal(got: PackedWorkload, ref: PackedWorkload) -> None:
@@ -181,44 +134,59 @@ def test_none_calibrated_cycles_round_trip_as_nan():
 # -- engine bit-identity -----------------------------------------------------
 
 
-@pytest.mark.parametrize("machine_name", ["thinkie", "stampede", "comet"])
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+with open(FIXTURE_PATH, encoding="utf-8") as _handle:
+    REFERENCE = json.load(_handle)
+
+
+def test_reference_fixture_covers_the_grid():
+    assert set(REFERENCE["randomized"]) == {
+        case_key(machine, seed, noisy)
+        for machine in MACHINES
+        for seed in SEEDS
+        for noisy in (False, True)
+    }
+    assert len(REFERENCE["run_many"]) == RUN_MANY_CASE[2]
+
+
+@pytest.mark.parametrize("machine_name", MACHINES)
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("noisy", [False, True], ids=["silent", "noisy"])
 def test_randomized_engine_bit_identity(machine_name, seed, noisy):
     machine = get_machine(machine_name)
     workload = random_workload(np.random.default_rng(seed), machine)
+    expected = REFERENCE["randomized"][case_key(machine_name, seed, noisy)]["digest"]
 
-    def noise():
-        if not noisy:
-            return NoiseModel.silent()
-        return NoiseModel(seed=seed + 99, duration_sigma=0.02, counter_sigma=0.007)
-
-    ref = Engine(machine, noise()).run(workload)
-    got = Engine(machine, noise()).run(pack_workload(workload))
+    ref = Engine(machine, make_noise(seed, noisy)).run(workload)
+    got = Engine(machine, make_noise(seed, noisy)).run(pack_workload(workload))
+    assert record_digest(ref) == expected
+    assert record_digest(got) == expected
     assert_records_identical(got, ref)
 
 
 def test_run_many_accepts_packed():
-    machine = get_machine("thinkie")
+    machine_name, seed, count = RUN_MANY_CASE
+    machine = get_machine(machine_name)
     engine = Engine(machine, NoiseModel.silent())
-    workload = random_workload(np.random.default_rng(5), machine)
+    workload = random_workload(np.random.default_rng(seed), machine)
     packed = pack_workload(workload)
-    refs = engine.run_many([workload, workload])
-    gots = engine.run_many([packed, packed])
-    for got, ref in zip(gots, refs):
-        assert_records_identical(got, ref)
+    refs = engine.run_many([workload] * count)
+    gots = engine.run_many([packed] * count)
+    assert [record_digest(r) for r in refs] == REFERENCE["run_many"]
+    assert [record_digest(r) for r in gots] == REFERENCE["run_many"]
 
 
 def test_lazy_io_events_behave_like_lists():
     machine = get_machine("stampede")
     workload = random_workload(np.random.default_rng(2), machine)
-    ref = Engine(machine, NoiseModel.silent()).run(workload)
+    case = REFERENCE["randomized"][case_key("stampede", 2, False)]
     got = Engine(machine, NoiseModel.silent()).run(pack_workload(workload))
     events = got.io_events
-    assert len(events) == len(list(ref.io_events))
-    assert list(events) == list(ref.io_events)
+    # The lazy count must agree with the materialised list.
+    assert len(events) == case["n_io_events"]
+    assert len(list(events)) == case["n_io_events"]
+    assert record_digest(got) == case["digest"]
     if len(events):
-        assert events[0] == list(ref.io_events)[0]
+        assert list(events[0]) == case["first_io_event"]
     # Records cross process boundaries in spawn_many: pickling must work
     # and reduce the lazy sequence to a plain list.
     assert pickle.loads(pickle.dumps(events)) == list(events)

@@ -1,22 +1,27 @@
-"""E.8 (extension) — Campaign throughput: sharded execution & report build.
+"""E.8 (extension) — Campaign throughput: plain vs elastic runs & report build.
 
 The campaign layer is how this reproduction runs paper-scale sweeps, so
-its two new moving parts get measured like any other hot path:
+its moving parts get measured like any other hot path:
 
-* **sharded vs single-shard wall-clock** — the same spec executed
-  unsharded and as two digest-partitioned shards against one FileStore
-  ledger.  On one host the shards run sequentially, so their *sum*
-  exposes the sharding overhead (claim writes + partition scans) and
-  their *max* is the ideal two-host wall-clock the partition enables;
+* **solo elastic worker vs plain run** — the same spec executed by one
+  ``run_campaign`` invocation and by one ``elastic_worker`` into fresh
+  FileStores, in alternating pairs.  The wall-clock ratio is the cost
+  of the lease protocol (member heartbeat, lease writes, confirm and
+  GC scans) when nobody shares the store; the resume of a complete
+  ledger is timed the same way;
+* **2-worker fleet** — ``run_elastic`` with two spawned worker
+  processes sharing one ``file://`` store, reported with the host's
+  core count (the fleet pays process start-up and only scales with
+  real cores);
 * **report-build throughput** — how many ledger cells per second
   ``repro.runtime.analyze`` aggregates into the paper-style
   consistency/error tables (the ``--report`` path).
 
-Results land in ``benchmarks/results/BENCH_e8_campaign.json``; the
-sanity assertions double as a regression net: the sharded union must
-reproduce the unsharded ledger exactly.
+Every elastic ledger is asserted to have the plain run's
+``ledger_digest`` before any timing is reported.  Results land in
+``benchmarks/results/BENCH_e8_campaign.json``.
 
-Run standalone (CI uses ``--quick``)::
+Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_e8_campaign.py [--quick] [--out X.json]
 
@@ -27,11 +32,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
 import tempfile
 import time
 from pathlib import Path
 
-from repro.runtime import CampaignSpec, analyze_campaign, ledger, run_campaign
+from repro.runtime import (
+    CampaignSpec,
+    analyze_campaign,
+    elastic_worker,
+    ledger_digest,
+    run_campaign,
+    run_elastic,
+)
 from repro.storage import FileStore
 from repro.util.tables import Table
 
@@ -48,42 +62,69 @@ def make_spec(seeds: int, repeats: int) -> CampaignSpec:
     })
 
 
-def _ledger_digests(store, name: str) -> set[str]:
-    return set(ledger(store, name))
+def _timed(fn) -> tuple[float, object]:
+    t0 = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - t0, result
 
 
-def measure(seeds: int = 6, repeats: int = 2, report_rounds: int = 5) -> dict:
+def _sweep_and_resume(runner, spec: CampaignSpec, store) -> tuple[float, float]:
+    """Seconds of a full sweep and of the resume that follows it."""
+    sweep_s, sweep = _timed(lambda: runner(spec, store))
+    assert sweep.complete and sweep.executed == spec.n_cells, sweep.to_dict()
+    resume_s, resume = _timed(lambda: runner(spec, store))
+    assert resume.executed == 0 and resume.complete, resume.to_dict()
+    return sweep_s, resume_s
+
+
+def measure(seeds: int = 6, repeats: int = 2, pairs: int = 8,
+            report_rounds: int = 5) -> dict:
     spec = make_spec(seeds, repeats)
+    plain_sweep, plain_resume, solo_sweep, solo_resume = [], [], [], []
     with tempfile.TemporaryDirectory(prefix="bench-e8-") as root:
-        # Unsharded baseline.
-        single = FileStore(Path(root) / "single")
-        t0 = time.perf_counter()
-        baseline = run_campaign(spec, single)
-        single_seconds = time.perf_counter() - t0
-        assert baseline.complete, baseline.to_dict()
+        reference = None
+        for index in range(pairs):
+            plain = FileStore(Path(root) / f"plain-{index}")
+            solo = FileStore(Path(root) / f"solo-{index}")
+            # Alternate the order so host drift hits both sides alike.
+            order = [("plain", plain), ("solo", solo)]
+            if index % 2:
+                order.reverse()
+            for kind, store in order:
+                if kind == "plain":
+                    sweep_s, resume_s = _sweep_and_resume(
+                        run_campaign, spec, store)
+                    plain_sweep.append(sweep_s)
+                    plain_resume.append(resume_s)
+                else:
+                    sweep_s, resume_s = _sweep_and_resume(
+                        elastic_worker, spec, store)
+                    solo_sweep.append(sweep_s)
+                    solo_resume.append(resume_s)
+            digest = ledger_digest(plain, spec.name)
+            reference = reference or digest
+            assert digest == reference, "plain runs disagree"
+            assert ledger_digest(solo, spec.name) == reference, (
+                "solo elastic worker diverged from the plain run")
 
-        # Two shards, sequentially, against one shared ledger.
-        shared = FileStore(Path(root) / "sharded")
-        shard_seconds = []
-        for index in range(2):
-            t0 = time.perf_counter()
-            report = run_campaign(spec, shared, shard=(index, 2))
-            shard_seconds.append(time.perf_counter() - t0)
-            assert not report.failed, report.to_dict()
-
-        # The union reproduces the unsharded ledger exactly.
-        assert _ledger_digests(shared, spec.name) == _ledger_digests(
-            single, spec.name
-        )
+        # A 2-worker fleet of spawned processes on one shared store.
+        fleet_root = Path(root) / "fleet"
+        fleet_s, fleet = _timed(
+            lambda: run_elastic(spec, f"file://{fleet_root}", workers=2))
+        assert fleet.complete and not fleet.failed, fleet.to_dict()
+        fleet_store = FileStore(fleet_root)
+        assert ledger_digest(fleet_store, spec.name) == reference, (
+            "2-worker fleet diverged from the plain run")
 
         # Report-build throughput over the finished ledger.
         t0 = time.perf_counter()
         for _ in range(report_rounds):
-            analysis = analyze_campaign(spec, shared)
+            analysis = analyze_campaign(spec, fleet_store)
         report_seconds = (time.perf_counter() - t0) / report_rounds
         assert analysis.complete
 
-    total_sharded = sum(shard_seconds)
+    plain_s = statistics.median(plain_sweep)
+    solo_s = statistics.median(solo_sweep)
     return {
         "spec": {
             "n_cells": spec.n_cells,
@@ -92,16 +133,29 @@ def measure(seeds: int = 6, repeats: int = 2, report_rounds: int = 5) -> dict:
             "seeds": seeds,
             "repeats": repeats,
         },
-        "single_shard": {
-            "seconds": single_seconds,
-            "cells_per_sec": spec.n_cells / single_seconds,
+        "host_cpu_count": os.cpu_count() or 1,
+        "ledger_digest": reference,
+        "plain_run": {
+            "pairs": pairs,
+            "sweep_seconds_median": plain_s,
+            "resume_seconds_median": statistics.median(plain_resume),
+            "cells_per_sec": spec.n_cells / plain_s,
         },
-        "two_shards_sequential": {
-            "shard_seconds": shard_seconds,
-            "sum_seconds": total_sharded,
-            "overhead_vs_single": total_sharded / single_seconds,
-            "ideal_two_host_seconds": max(shard_seconds),
-            "ideal_two_host_speedup": single_seconds / max(shard_seconds),
+        "solo_elastic": {
+            "pairs": pairs,
+            "sweep_seconds_median": solo_s,
+            "resume_seconds_median": statistics.median(solo_resume),
+            "cells_per_sec": spec.n_cells / solo_s,
+            "sweep_ratio_vs_plain": solo_s / plain_s,
+            "resume_ratio_vs_plain": (
+                statistics.median(solo_resume) / statistics.median(plain_resume)
+            ),
+        },
+        "fleet_2_workers": {
+            "workers": 2,
+            "seconds": fleet_s,
+            "cells_per_sec": spec.n_cells / fleet_s,
+            "speedup_vs_plain": plain_s / fleet_s,
         },
         "report_build": {
             "rounds": report_rounds,
@@ -115,22 +169,27 @@ def measure(seeds: int = 6, repeats: int = 2, report_rounds: int = 5) -> dict:
 def as_table(results: dict) -> Table:
     table = Table(
         ["metric", "seconds", "cells/sec", "note"],
-        title=f"E8 campaign throughput ({results['spec']['n_cells']} cells)",
+        title=(f"E8 campaign throughput ({results['spec']['n_cells']} cells, "
+               f"{results['host_cpu_count']} cores)"),
     )
-    single = results["single_shard"]
-    table.add_row(["unsharded run", single["seconds"], single["cells_per_sec"], "-"])
-    sharded = results["two_shards_sequential"]
+    plain = results["plain_run"]
+    table.add_row(["plain run_campaign (median)", plain["sweep_seconds_median"],
+                   plain["cells_per_sec"], f"{plain['pairs']} pairs"])
+    solo = results["solo_elastic"]
     table.add_row([
-        "2 shards (sequential sum)",
-        sharded["sum_seconds"],
-        results["spec"]["n_cells"] / sharded["sum_seconds"],
-        f"{sharded['overhead_vs_single']:.2f}x of unsharded (claim overhead)",
+        "solo elastic_worker (median)", solo["sweep_seconds_median"],
+        solo["cells_per_sec"],
+        f"{solo['sweep_ratio_vs_plain']:.2f}x of plain (lease overhead)",
     ])
     table.add_row([
-        "2 shards (ideal 2-host)",
-        sharded["ideal_two_host_seconds"],
-        results["spec"]["n_cells"] / sharded["ideal_two_host_seconds"],
-        f"{sharded['ideal_two_host_speedup']:.2f}x projected speedup",
+        "resume: solo elastic", solo["resume_seconds_median"], "-",
+        f"{solo['resume_ratio_vs_plain']:.2f}x of plain "
+        f"({plain['resume_seconds_median'] * 1e3:.1f} ms)",
+    ])
+    fleet = results["fleet_2_workers"]
+    table.add_row([
+        "2-worker fleet (spawned)", fleet["seconds"], fleet["cells_per_sec"],
+        f"{fleet['speedup_vs_plain']:.2f}x vs plain",
     ])
     report = results["report_build"]
     table.add_row([
@@ -146,12 +205,12 @@ def test_e8_campaign():
     """Pytest entry: quick measurement + report registration."""
     from conftest import report  # noqa: PLC0415 - pytest-only plumbing
 
-    results = measure(seeds=2, repeats=1, report_rounds=2)
-    assert results["single_shard"]["cells_per_sec"] > 0
+    results = measure(seeds=2, repeats=1, pairs=2, report_rounds=2)
+    assert results["plain_run"]["cells_per_sec"] > 0
     assert results["report_build"]["cells_per_sec"] > 0
-    # Sequential sharding costs claim bookkeeping, never reruns cells:
-    # well under double the unsharded time even on a tiny sweep.
-    assert results["two_shards_sequential"]["overhead_vs_single"] < 10.0
+    # The lease protocol costs store bookkeeping, never reruns cells:
+    # well under ten times the plain run even on a tiny sweep.
+    assert results["solo_elastic"]["sweep_ratio_vs_plain"] < 10.0
     report("E8: campaign throughput", str(as_table(results)))
 
 
@@ -160,18 +219,19 @@ def main() -> None:
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="small sweep (CI smoke)")
+                        help="small sweep (smoke run)")
     parser.add_argument("--out", default=None,
                         help="result JSON path (default: benchmarks/results/)")
     args = parser.parse_args()
     if args.quick:
-        results = measure(seeds=2, repeats=1, report_rounds=2)
+        results = measure(seeds=2, repeats=1, pairs=2, report_rounds=2)
     else:
         results = measure()
+    results["mode"] = "quick" if args.quick else "full"
     print(as_table(results).render())
     path = write_json_result("BENCH_e8_campaign", results, out=args.out)
     print(f"\nresults written to {path}")
-    print(json.dumps(results["two_shards_sequential"], indent=1))
+    print(json.dumps(results["solo_elastic"], indent=1))
 
 
 if __name__ == "__main__":

@@ -13,9 +13,10 @@ path:
 * **latest-profile ``get`` and batched ``get_many``** — the index plane
   resolves candidates first, then loads exactly the payloads needed;
 * **campaign ledger bookkeeping** — ``completed_cells`` (the resume /
-  wave re-scan cost), ``claims`` read-back and the ``--report`` ledger
-  build on a ledger-shaped store (one group per cell — the worst case
-  for group pruning, where the win is payload-free index entries);
+  wave re-scan cost), the elastic workers' ``lease_records`` read-back
+  and the ``--report`` ledger build on a ledger-shaped store (one group
+  per cell — the worst case for group pruning, where the win is
+  payload-free index entries);
 * **campaign resume** — a full ``run_campaign`` over an already
   complete ledger (pure bookkeeping, zero cells executed).
 
@@ -34,12 +35,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import tempfile
 import time
 from pathlib import Path
 
 from repro.core.samples import Profile, Sample
-from repro.runtime import CampaignSpec, claims, completed_cells, ledger, run_campaign
+from repro.runtime import (
+    LEASE_COMMAND,
+    CampaignSpec,
+    completed_cells,
+    lease_records,
+    ledger,
+    run_campaign,
+)
 from repro.storage import FileStore
 from repro.storage.base import ProfileStore
 from repro.util.tables import Table
@@ -123,19 +132,23 @@ def _reference_completed_cells(store, name: str) -> set[str]:
     return digests
 
 
-def _reference_claims(store, name: str) -> dict:
+def _lease_view(records: dict) -> dict:
+    """Lease records minus store ids (a payload scan cannot see ids)."""
+    return {
+        digest: sorted((r.owner, r.epoch, r.created) for r in group)
+        for digest, group in records.items()
+    }
+
+
+def _reference_lease_records(store, name: str) -> dict:
+    """``lease_records`` the brute-force way: every lease payload parsed."""
     found: dict[str, list] = {}
-    for marker in ProfileStore.find(store, "synapse:campaign-claim",
+    for marker in ProfileStore.find(store, LEASE_COMMAND,
                                     tags=[f"campaign={name}"]):
-        digest = owner = None
-        for tag in marker.tags:
-            if tag.startswith("claim="):
-                digest = tag[len("claim="):]
-            elif tag.startswith("owner="):
-                owner = tag[len("owner="):]
-        if digest and owner:
-            found.setdefault(digest, []).append((marker.created, owner))
-    return found
+        tags = dict(tag.split("=", 1) for tag in marker.tags)
+        found.setdefault(tags["lease"], []).append(
+            (tags["owner"], int(tags["epoch"]), marker.created))
+    return {digest: sorted(group) for digest, group in found.items()}
 
 
 def measure(n_profiles: int = 5000, n_groups: int = 50, n_samples: int = 20,
@@ -201,25 +214,26 @@ def measure(n_profiles: int = 5000, n_groups: int = 50, n_samples: int = 20,
         ledger_store = build_ledger_store(Path(tmp) / "ledger", spec)
         wave_digests = sorted(completed_cells(ledger_store, spec.name))[:8]
         ledger_store.put_many([
-            Profile(command="synapse:campaign-claim",
-                    tags={"campaign": spec.name, "claim": digest,
-                          "owner": "bench-rival"})
+            Profile(command=LEASE_COMMAND,
+                    tags={"campaign": spec.name, "lease": digest,
+                          "owner": "bench-rival", "epoch": 1})
             for digest in wave_digests
         ])
         assert (completed_cells(ledger_store, spec.name)
                 == _reference_completed_cells(ledger_store, spec.name))
-        assert claims(ledger_store, spec.name) == _reference_claims(
-            ledger_store, spec.name)
+        assert _lease_view(lease_records(ledger_store, spec.name)) == (
+            _reference_lease_records(ledger_store, spec.name))
 
         cells_scan_s = _timeit(
             lambda: _reference_completed_cells(ledger_store, spec.name),
             scan_rounds)
         cells_idx_s = _timeit(
             lambda: completed_cells(ledger_store, spec.name), warm_rounds)
-        claims_scan_s = _timeit(
-            lambda: _reference_claims(ledger_store, spec.name), scan_rounds)
-        claims_idx_s = _timeit(
-            lambda: claims(ledger_store, spec.name), warm_rounds)
+        lease_scan_s = _timeit(
+            lambda: _reference_lease_records(ledger_store, spec.name),
+            scan_rounds)
+        lease_idx_s = _timeit(
+            lambda: lease_records(ledger_store, spec.name), warm_rounds)
         ledger_s = _timeit(
             lambda: ledger(ledger_store, spec.name), max(1, warm_rounds // 2))
         results["campaign_ledger"] = {
@@ -227,9 +241,9 @@ def measure(n_profiles: int = 5000, n_groups: int = 50, n_samples: int = 20,
             "completed_cells_scan_seconds": cells_scan_s,
             "completed_cells_indexed_seconds": cells_idx_s,
             "completed_cells_speedup": cells_scan_s / cells_idx_s,
-            "claims_scan_seconds": claims_scan_s,
-            "claims_indexed_seconds": claims_idx_s,
-            "claims_speedup": claims_scan_s / claims_idx_s,
+            "lease_scan_seconds": lease_scan_s,
+            "lease_indexed_seconds": lease_idx_s,
+            "lease_scan_speedup": lease_scan_s / lease_idx_s,
             "ledger_build_seconds": ledger_s,
             "ledger_cells_per_sec": spec.n_cells / ledger_s if ledger_s else 0.0,
         }
@@ -265,9 +279,9 @@ def as_table(results: dict) -> Table:
     table.add_row(["completed_cells", campaign["completed_cells_scan_seconds"],
                    campaign["completed_cells_indexed_seconds"],
                    f"{campaign['completed_cells_speedup']:.1f}x"])
-    table.add_row(["claims read-back", campaign["claims_scan_seconds"],
-                   campaign["claims_indexed_seconds"],
-                   f"{campaign['claims_speedup']:.1f}x"])
+    table.add_row(["lease_records read-back", campaign["lease_scan_seconds"],
+                   campaign["lease_indexed_seconds"],
+                   f"{campaign['lease_scan_speedup']:.1f}x"])
     table.add_row(["resume (no-op run)", "-",
                    results["campaign_resume"]["seconds"], "-"])
     return table
@@ -301,6 +315,8 @@ def main() -> None:
                           ledger_seeds=30, warm_rounds=5, scan_rounds=2)
     else:
         results = measure()
+    results["mode"] = "quick" if args.quick else "full"
+    results["host_cpu_count"] = os.cpu_count() or 1
     print(as_table(results).render())
     path = write_json_result("BENCH_e9_store", results, out=args.out)
     print(f"\nresults written to {path}")

@@ -7,9 +7,10 @@ tables (relative counter errors against a reference, E.2/E.3) and
 sampling-overhead columns.  ``repro.runtime.analyze`` rebuilds those
 tables from any campaign ledger; this example:
 
-1. executes a (2 apps x 2 machines x 3 seeds x 2 repeats) campaign —
-   sharded in two, to show the analysis is oblivious to *how* the
-   ledger was filled;
+1. executes a (2 apps x 2 machines x 3 seeds x 2 repeats) campaign
+   with a fleet of two elastic worker processes sharing one ``file://``
+   store, to show the analysis is oblivious to *how* the ledger was
+   filled;
 2. aggregates it with ``core.api.campaign_report`` and prints the
    consistency/error table (reference machine: first in the spec);
 3. drills into one group's per-metric lines and the JSON/CSV forms the
@@ -18,9 +19,12 @@ tables from any campaign ledger; this example:
 Run:  python examples/campaign_report.py
 """
 
-import repro as synapse
+import tempfile
+from pathlib import Path
+
 from repro.core.api import campaign_report
-from repro.runtime import CampaignSpec, run_campaign
+from repro.runtime import CampaignSpec, run_elastic
+from repro.storage import FileStore
 
 SPEC = {
     "name": "report-demo",
@@ -36,16 +40,13 @@ SPEC = {
 
 def main() -> None:
     spec = CampaignSpec.from_dict(SPEC)
-    store = synapse.MemoryStore()
-
-    # 1. Fill the ledger as two shards would on two hosts.
-    for index in range(2):
-        report = run_campaign(spec, store, shard=(index, 2))
-        print(f"shard {index}/2: executed {report.executed} cells")
-    print()
-
-    # 2. The paper-style consistency/error table.
-    analysis = campaign_report(spec, store=store)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "sweep"
+        # 1. Fill the ledger as two elastic workers would on two hosts.
+        fleet = run_elastic(spec, f"file://{root}", workers=2)
+        print(f"2-worker fleet: executed {fleet.executed} cells\n")
+        # 2. The paper-style consistency/error table.
+        analysis = campaign_report(spec, store=FileStore(root))
     assert analysis.complete
     print(analysis.table().render())
 

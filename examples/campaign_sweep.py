@@ -16,30 +16,25 @@ This example walks the loop:
 3. resume: the second run executes only the missing cells;
 4. verify the ledger is complete and query it like any profile store.
 
-Sharded campaigns (multi-host sweeps)
--------------------------------------
+Multi-host sweeps
+-----------------
 
 The same ledger scales a sweep across hosts.  Point every host at one
-shared store (an NFS-mounted ``file://`` root or a Mongo URL) and give
-each its shard of the pending cells::
+shared store (an NFS-mounted ``file://`` root or a Mongo URL) and run
+an elastic worker on each::
 
-    host-0$ repro --store file:///shared/sweep campaign spec.json --shard 0/3
-    host-1$ repro --store file:///shared/sweep campaign spec.json --shard 1/3
-    host-2$ repro --store file:///shared/sweep campaign spec.json --shard 2/3
+    host-0$ repro --store file:///shared/sweep campaign spec.json --elastic --join host-0
+    host-1$ repro --store file:///shared/sweep campaign spec.json --elastic --join host-1
+    host-2$ repro --store file:///shared/sweep campaign spec.json --elastic --join host-2
 
-Cells are partitioned by their digest (``run_campaign(spec, store,
-shard=(i, n))`` in the API), so the shards are disjoint by
-construction; each shard additionally *claims* its wave's cells in the
-ledger, so a restarted or overlapping invocation defers to whoever got
-there first instead of computing a cell twice.  If a host dies, re-run
-its shard — or any shard, or an unsharded invocation: every run
-completes only the union's missing cells, and the final ledger is
+Workers pull pending cells in leased batches and steal the leases of a
+worker that dies, so the sweep finishes without anyone re-running a
+host (``examples/elastic_campaign.py``).  The final ledger is
 bit-identical to a single-host run because each cell's noise derives
 from its own identity, never from where or when it executed.  Flaky
 cells are handled declaratively: a spec-level ``"policy"`` (retries /
-timeout / backoff) makes a bad cell fail its shard gracefully.  Once
-the ledger is complete, any host can aggregate it into the paper-style
-tables::
+timeout / backoff) makes a bad cell fail gracefully.  Once the ledger
+is complete, any host can aggregate it into the paper-style tables::
 
     $ repro --store file:///shared/sweep campaign spec.json --report
 

@@ -31,26 +31,19 @@ Spec form (dict or JSON file)::
       "policy": {"retries": 1, "timeout": null, "backoff": 0.0}
     }
 
-Sharding (multi-host sweeps): ``run_campaign(spec, store, shard=(i, n))``
-deterministically partitions the *pending* cells by cell digest, so *n*
-hosts sharing one store ledger execute disjoint subsets — any shard's
-re-run completes only the union's missing cells, and an unsharded run
-finishes whatever is left.  Sharded invocations additionally *claim*
-their wave's cells in the ledger (lightweight marker documents tagged
-``claim=<digest>``) before executing them: two claim-checking
-invocations that overlap — the same shard restarted, racing shards —
-defer to the earlier claim instead of computing a cell twice.
-Unsharded runs skip the protocol by default (pass ``claim=True`` to
-opt in), so racing an unsharded run against a live shard can double-
-execute a cell.  Claims are deleted once their wave is stored;
-leftovers from a killed shard go stale after ``claim_ttl`` seconds and
-are ignored.  Because every cell's result derives only from its own
-identity, any double execution stores a bit-identical duplicate that
-resume and analysis dedupe by digest — ugly, never wrong.
+One invocation of :func:`run_campaign` owns its store: it writes no
+coordination markers, so two plain runs racing on one ledger can both
+execute a cell.  Several invocations (processes, hosts) sharing a store
+coordinate through the elastic leases of
+:mod:`repro.runtime.coordinator` instead.  Because every cell's result
+derives only from its own identity, any double execution stores a
+bit-identical duplicate that resume and analysis dedupe by digest —
+ugly, never wrong.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -63,7 +56,6 @@ from typing import Any, Callable, Mapping
 
 from repro.core.errors import ConfigError, is_retryable
 from repro.core.samples import Profile
-from repro.faults import inject
 from repro.runtime.service import RunPolicy, RunRequest, RunService, get_service
 from repro.telemetry.events import get_bus
 from repro.telemetry.spans import span
@@ -73,15 +65,11 @@ __all__ = [
     "CampaignCell",
     "CampaignReport",
     "CampaignSpec",
-    "claims",
     "comparable_artifact",
     "completed_cells",
     "ledger",
     "ledger_digest",
-    "parse_shard",
     "run_campaign",
-    "shard_cells",
-    "shard_index",
 ]
 
 _KINDS = ("profile", "run")
@@ -94,31 +82,28 @@ _SPEC_KEYS = frozenset(
 #: finished wave in the ledger and resumes from the next one.
 DEFAULT_CHECKPOINT = 8
 
-#: Command under which cell-claim markers are stored (kept distinct from
-#: every profilable command so claims never collide with real artifacts).
-CLAIM_COMMAND = "synapse:campaign-claim"
-
-#: Seconds a foreign claim stays live.  A claim older than this with no
-#: stored artifact belongs to a dead shard and is ignored; fresher ones
-#: mark a concurrent shard working the cell right now.
-DEFAULT_CLAIM_TTL = 900.0
-
-#: Attempts per ledger store operation (scans, artifact/claim writes)
+#: Attempts per ledger store operation (scans, artifact/marker writes)
 #: before a transient store failure fails the campaign.
 STORE_ATTEMPTS = 3
 
 
-def _store_op(what: str, fn: Callable[[], Any]) -> Any:
+def _new_owner() -> str:
+    """A fresh invocation identity: pid plus a random token."""
+    return f"{os.getpid():x}-{secrets.token_hex(4)}"
+
+
+def _store_op(what: str, fn: Callable[[], Any], owner: str) -> Any:
     """Run one ledger store operation with short transient-fault retries.
 
     Long campaigns should not die to a single flaky store call (NFS
     hiccup, injected chaos): retryable failures (per
     :func:`~repro.core.errors.is_retryable`) get
     :data:`STORE_ATTEMPTS` tries with a small deterministic-jitter
-    sleep; fatal errors and exhausted budgets propagate.  A retried
-    ``put_many`` that partially landed can store duplicate artifacts —
-    bit-identical, deduped by digest on resume and analysis (the
-    module-docstring invariant: ugly, never wrong).
+    sleep seeded by ``(owner, what, attempt)``; fatal errors and
+    exhausted budgets propagate.  A retried ``put_many`` that partially
+    landed can store duplicate artifacts — bit-identical, deduped by
+    digest on resume and analysis (the module-docstring invariant: ugly,
+    never wrong).
     """
     for attempt in range(1, STORE_ATTEMPTS + 1):
         try:
@@ -130,10 +115,12 @@ def _store_op(what: str, fn: Callable[[], Any]) -> Any:
                 "campaign.store.retry", level="warning", op=what,
                 attempt=attempt, attempts=STORE_ATTEMPTS, error=repr(exc),
             )
-            # Deterministic full jitter (seeded per op/attempt): retries
-            # desynchronise across shards without touching global RNG.
+            # Deterministic full jitter seeded per caller/op/attempt:
+            # workers retrying the same op sleep for different times, and
+            # the global RNG is untouched.
             time.sleep(
-                0.05 * attempt * random.Random(f"{what}|{attempt}").random()
+                0.05 * attempt
+                * random.Random(f"{owner}|{what}|{attempt}").random()
             )
 
 
@@ -349,7 +336,7 @@ def _engine_summary(record: Any) -> dict[str, Any]:
 
 @dataclass
 class CampaignReport:
-    """Outcome of one :func:`run_campaign` invocation."""
+    """Outcome of one :func:`run_campaign` (or elastic worker) invocation."""
 
     name: str
     total: int
@@ -358,13 +345,11 @@ class CampaignReport:
     failed: list[dict[str, str]] = field(default_factory=list)
     seconds: float = 0.0
     truncated: bool = False
-    #: ``"i/n"`` when this invocation executed one shard of the sweep.
-    shard: str | None = None
-    #: Pending cells this invocation was responsible for (the shard's
-    #: partition of the missing cells; equals ``total - skipped`` when
-    #: unsharded).
+    #: Pending cells this invocation was responsible for (``total -
+    #: skipped`` for a plain run; the cells it executed for an elastic
+    #: worker).
     assigned: int = 0
-    #: Cells left to a concurrent invocation holding an earlier claim.
+    #: Cells an elastic worker left to a live rival's lease.
     deferred: int = 0
     #: True when a ``stop`` request (SIGTERM/SIGINT drain) ended the
     #: sweep early: the current wave was finished and persisted, the
@@ -375,9 +360,9 @@ class CampaignReport:
     def remaining(self) -> int:
         """Cells still missing from the ledger after this invocation.
 
-        Sweep-wide view: for a shard run this includes every other
-        shard's pending cells, so ``complete`` only turns true once the
-        *union* of shards has filled the ledger.
+        Sweep-wide view: for an elastic worker this includes the cells
+        its rivals still hold, so ``complete`` only turns true once the
+        whole fleet has filled the ledger.
         """
         return self.total - self.skipped - self.executed
 
@@ -396,226 +381,25 @@ class CampaignReport:
             "complete": self.complete,
             "seconds": self.seconds,
             "truncated": self.truncated,
-            "shard": self.shard,
             "assigned": self.assigned,
             "deferred": self.deferred,
             "interrupted": self.interrupted,
         }
 
     def table(self) -> Table:
-        shard = f" shard {self.shard}" if self.shard is not None else ""
         state = "complete" if self.complete else "partial"
         if self.interrupted:
             state = "interrupted (drained)"
         table = Table(
             ["cells", "skipped (ledger)", "executed", "failed", "deferred",
              "remaining"],
-            title=(
-                f"campaign {self.name!r}{shard}: {state} "
-                f"in {self.seconds:.2f}s"
-            ),
+            title=f"campaign {self.name!r}: {state} in {self.seconds:.2f}s",
         )
         table.add_row(
             [self.total, self.skipped, self.executed, len(self.failed),
              self.deferred, self.remaining]
         )
         return table
-
-
-def parse_shard(shard: Any) -> tuple[int, int]:
-    """Normalise a shard selector into ``(index, count)``.
-
-    Accepts an ``(index, count)`` pair or the CLI spelling ``"i/n"``.
-    """
-    if isinstance(shard, str):
-        head, sep, tail = shard.partition("/")
-        if not sep:
-            raise ConfigError(f"shard must look like 'i/n', not {shard!r}")
-        shard = (head, tail)
-    try:
-        index, count = shard
-        index, count = int(index), int(count)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"shard must be an (index, count) pair or 'i/n' string, not {shard!r}"
-        ) from exc
-    if count < 1 or not 0 <= index < count:
-        raise ConfigError(
-            f"shard index must satisfy 0 <= index < count, got {index}/{count}"
-        )
-    return index, count
-
-
-def shard_index(digest: str, count: int) -> int:
-    """Deterministic shard owning a cell digest (digests are hex)."""
-    return int(digest, 16) % count
-
-
-def shard_cells(cells: list[CampaignCell], shard: Any) -> list[CampaignCell]:
-    """The subset of ``cells`` that shard ``(index, count)`` executes.
-
-    Partitioning is by cell digest, so it is independent of execution
-    order, ledger state and which cells other shards have finished —
-    the property that makes *n* hosts sharing one store collision-free.
-    """
-    index, count = parse_shard(shard)
-    return [cell for cell in cells if shard_index(cell.digest, count) == index]
-
-
-def claims(store: Any, name: str) -> dict[str, list[tuple[float, str]]]:
-    """Live + stale claim markers of campaign ``name``.
-
-    Returns cell digest -> list of ``(created, owner)`` pairs, one per
-    marker.  Callers decide staleness (see ``claim_ttl``).  Everything a
-    claim carries (digest, owner, creation time) lives in its tags, so
-    the scan runs on the store's index plane — no marker payloads are
-    deserialised, and the per-wave read-back cost is O(live markers)
-    instead of O(ledger).
-    """
-    found: dict[str, list[tuple[float, str]]] = {}
-    for entry in store.entries(CLAIM_COMMAND, tags=[f"campaign={name}"]):
-        digest = owner = None
-        for tag in entry.tags:
-            if tag.startswith("claim="):
-                digest = tag[len("claim="):]
-            elif tag.startswith("owner="):
-                owner = tag[len("owner="):]
-        if digest and owner:
-            found.setdefault(digest, []).append((entry.created, owner))
-    return found
-
-
-def _claim_wave(
-    store: Any,
-    name: str,
-    wave: list[CampaignCell],
-    owner: str,
-    ttl: float,
-    scan: bool = True,
-) -> tuple[list[CampaignCell], list[CampaignCell], list[str], bool]:
-    """Claim a wave's cells; returns ``(mine, deferred, claim_ids, rivals)``.
-
-    Writes one marker per cell, re-reads all markers, and keeps only the
-    cells whose earliest *live* claim is ours — ties and races resolve
-    deterministically on ``(created, owner)``.  Cells lost to an earlier
-    live claim are deferred (another invocation is computing them right
-    now); claims older than ``ttl`` belong to dead invocations and are
-    ignored.
-
-    ``scan=False`` skips the read-back (the caller saw no live foreign
-    claims recently): markers are still written so *rivals* defer to
-    us, but the wave runs unfiltered.  ``rivals`` reports whether any
-    live foreign claim was seen, letting the caller decide whether the
-    next wave needs a scan — the read-back is an index-plane scan of
-    the campaign's markers (O(live claims), no payloads), but even that
-    only makes sense to pay per wave while someone else is actually in
-    there.
-    """
-    now = time.time()
-    markers = [
-        Profile(
-            command=CLAIM_COMMAND,
-            tags={"campaign": name, "claim": cell.digest, "owner": owner},
-            info={"cell": cell.digest},
-            created=now,
-        )
-        for cell in wave
-    ]
-    claim_ids = list(
-        _store_op("claim.put", lambda: store.put_many(markers))
-    )
-    if not scan:
-        return list(wave), [], claim_ids, False
-    try:
-        # Chaos plane: a fault here exercises the marker-cleanup path
-        # below (a read-back failure must not leak this wave's claims).
-        inject("campaign.claim", key=name)
-        existing = claims(store, name)
-        stale_seen = sum(
-            1
-            for entries in existing.values()
-            for entry in entries
-            if now - entry[0] > ttl
-        )
-        if stale_seen:
-            get_bus().event(
-                "campaign.claim.gc", campaign=name, stale=stale_seen, ttl=ttl
-            )
-            _gc_stale_claims(store, name, ttl, now)
-        # Any live foreign claim — even on a cell outside this wave —
-        # means a concurrent invocation is active and later waves must
-        # keep scanning.
-        rivals = any(
-            entry[1] != owner and now - entry[0] <= ttl
-            for entries in existing.values()
-            for entry in entries
-        )
-        mine: list[CampaignCell] = []
-        deferred: list[CampaignCell] = []
-        for cell in wave:
-            live = [
-                entry for entry in existing.get(cell.digest, [])
-                if now - entry[0] <= ttl
-            ]
-            winner = min(live, default=(now, owner))
-            (mine if winner[1] == owner else deferred).append(cell)
-        if deferred:
-            get_bus().event(
-                "campaign.claim.contention", level="warning",
-                campaign=name, owner=owner, deferred=len(deferred),
-                cells=[cell.digest for cell in deferred],
-            )
-    except BaseException:
-        # The read-back died (store error mid-scan, Ctrl-C) before the
-        # caller could take ownership of claim_ids: delete our markers
-        # now or an immediate re-run defers to this invocation's corpse
-        # for a full claim_ttl.
-        _delete_claims(store, claim_ids)
-        raise
-    return mine, deferred, claim_ids, rivals
-
-
-def _delete_claims(store: Any, claim_ids: list[str]) -> None:
-    """Best-effort removal of this invocation's claim markers."""
-    delete = getattr(store, "delete", None)
-    if delete is None:
-        return
-    for pid in claim_ids:
-        try:
-            delete(pid)
-        except Exception:  # noqa: BLE001 - already gone / read-only store
-            pass
-
-
-def _gc_stale_claims(store: Any, name: str, ttl: float, now: float) -> None:
-    """Best-effort deletion of expired claim markers.
-
-    Hard-killed shards never clean up after themselves; without GC
-    their markers accumulate in a long-lived shared store forever (and
-    every claim scan re-parses them).  Only markers already ignored as
-    stale are touched, so this can never steal a live rival's claim.
-    """
-    expire = getattr(store, "expire_markers", None)
-    if expire is not None:
-        # Server-side TTL expiry (Mongo-like stores): the store sweeps
-        # its own stale markers; the scan below then only mops up
-        # whatever raced past the sweep.
-        try:
-            expire(CLAIM_COMMAND, ttl)
-        except Exception:  # noqa: BLE001 - GC must never fail a wave
-            pass
-    if getattr(store, "delete", None) is None:
-        return
-    try:
-        inject("campaign.gc", key=name)
-        stale = [
-            entry.id
-            for entry in store.entries(CLAIM_COMMAND, tags=[f"campaign={name}"])
-            if now - entry.created > ttl
-        ]
-    except Exception:  # noqa: BLE001 - GC must never fail a wave
-        return
-    _delete_claims(store, stale)
 
 
 #: Cell digests are the first 16 hex chars of a SHA-256 (see
@@ -635,8 +419,8 @@ def _ledger_ids(store: Any, name: str) -> list[tuple[str, str]]:
     skipped: they can never correspond to a spec cell, so treating them
     as completed would silently drop cells from a resumed sweep.  The
     scan runs on the store's index plane (cell digests live in the
-    tags), so ledger bookkeeping — resume checks, shard partitioning —
-    never deserialises artifact payloads.
+    tags), so ledger bookkeeping — resume checks, lease dealing — never
+    deserialises artifact payloads.
     """
     pairs: list[tuple[str, str]] = []
     for entry in store.entries(tags=[f"campaign={name}"]):
@@ -651,8 +435,9 @@ def _ledger_ids(store: Any, name: str) -> list[tuple[str, str]]:
 def completed_cells(store: Any, name: str) -> set[str]:
     """Digests of all cells of campaign ``name`` already in the ledger.
 
-    Index-plane only: a campaign resume (or shard partition) costs one
-    tag-filtered index scan, not a full-ledger deserialisation.
+    Index-plane only: a campaign resume (or an elastic worker's rescan)
+    costs one tag-filtered index scan, not a full-ledger
+    deserialisation.
     """
     return {digest for digest, _pid in _ledger_ids(store, name)}
 
@@ -662,8 +447,7 @@ def ledger(store: Any, name: str) -> dict[str, Any]:
 
     Resolves digests on the index plane, then batch-loads exactly the
     artifact payloads via ``get_many`` (duplicate digests — racing
-    shards' bit-identical artifacts — dedupe to the newest entry, as
-    before).
+    workers' bit-identical artifacts — dedupe to the newest entry).
     """
     pairs = _ledger_ids(store, name)
     profiles = store.get_many([pid for _digest, pid in pairs])
@@ -677,7 +461,7 @@ def comparable_artifact(profile: Any) -> dict[str, Any]:
     noise streams); only *when* and *by which process* a cell ran leaks
     into its stored document.  Dropping the wall-clock ``created`` stamp
     and the recording process id leaves exactly the fields that must be
-    bit-identical across reruns, shards, resumes and chaos runs.
+    bit-identical across reruns, workers, resumes and chaos runs.
     """
     doc = profile.to_dict() if hasattr(profile, "to_dict") else dict(profile)
     doc = json.loads(json.dumps(doc, sort_keys=True, default=str))
@@ -692,7 +476,7 @@ def ledger_digest(store: Any, name: str) -> str:
     """Canonical digest of campaign ``name``'s ledger.
 
     Two campaign runs converged to the same results — regardless of
-    execution order, sharding, worker count, interruptions, retries or
+    execution order, worker count, interruptions, retries or
     injected faults — produce the same digest.  The chaos smoke test
     (and CI job) pins a faulted run against a fault-free one with this.
     """
@@ -706,6 +490,53 @@ def ledger_digest(store: Any, name: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _failure(cell: CampaignCell, error: str) -> dict[str, str]:
+    return {"cell": cell.digest, "app": cell.app, "machine": cell.machine,
+            "error": error}
+
+
+def _execute_wave(
+    wave: list[CampaignCell],
+    store: Any,
+    svc: RunService,
+    processes: int | None,
+    owner: str,
+    guard: Any = contextlib.nullcontext(),
+    hold: Callable[[list[RunRequest]], None] | None = None,
+) -> tuple[int, list[dict[str, str]]]:
+    """Execute one wave of cells and persist its artifacts.
+
+    Cells become run requests, run through ``svc`` and land in ``store``
+    with one ``put_many``; returns ``(executed, failures)``.  Cells whose
+    spec cannot become a request, and runs that fail, are reported as
+    failure dicts and never stored.  ``hold`` sees the wave's requests
+    just before they run (the elastic worker starts renewing its leases
+    there); ``guard`` is entered around the store write (the elastic
+    worker's store lock).
+    """
+    failures: list[dict[str, str]] = []
+    requests, runnable = [], []
+    for cell in wave:
+        try:
+            requests.append(cell.to_request())
+            runnable.append(cell)
+        except Exception as exc:  # unknown app spec, bad config, ...
+            failures.append(_failure(cell, repr(exc)))
+    if hold is not None:
+        hold(requests)
+    results = svc.run(requests, processes=processes, rethrow=False)
+    artifacts = []
+    for cell, result in zip(runnable, results):
+        if result.ok:
+            artifacts.append(cell.artifact(result.value))
+        else:
+            failures.append(_failure(cell, result.error or "unknown error"))
+    if artifacts:
+        with guard:
+            _store_op("artifacts.put", lambda: store.put_many(artifacts), owner)
+    return len(artifacts), failures
+
+
 def run_campaign(
     spec: CampaignSpec | Mapping[str, Any],
     store: Any,
@@ -713,9 +544,6 @@ def run_campaign(
     service: RunService | None = None,
     limit: int | None = None,
     checkpoint: int = DEFAULT_CHECKPOINT,
-    shard: Any = None,
-    claim: bool | None = None,
-    claim_ttl: float = DEFAULT_CLAIM_TTL,
     progress: Any = None,
     stop: Callable[[], bool] | None = None,
 ) -> CampaignReport:
@@ -727,53 +555,42 @@ def run_campaign(
     interruption loses at most one wave and a re-run completes only the
     missing cells.  ``limit`` caps the cells executed in this
     invocation (handy for smoke tests and incremental sweeps); failures
-    are recorded in the report, never stored as completed cells.
-
-    ``shard=(i, n)`` (or ``"i/n"``) restricts this invocation to its
-    digest-assigned partition of the pending cells so *n* hosts sharing
-    one store divide the sweep; see the module docstring.  ``claim``
-    toggles the wave-level cell claiming that serialises overlapping
-    invocations (default: on exactly when sharded); ``claim_ttl`` is
-    how long a foreign claim defers a cell before it is presumed dead.
+    are recorded in the report, never stored as completed cells.  To
+    split a sweep across processes or hosts, run elastic workers
+    (:mod:`repro.runtime.coordinator`) instead.
 
     ``progress`` is an optional per-wave callback receiving a summary
-    dict (``wave``, ``waves``, ``claimed``, ``executed``, ``failed``,
-    ``deferred``, ``completed``, ``pending``, ``elapsed``) after each
-    wave is persisted — the CLI's live progress lines.
+    dict (``wave``, ``waves``, ``cells``, ``executed``, ``failed``,
+    ``completed``, ``pending``, ``elapsed``) after each wave is
+    persisted — the CLI's live progress lines.
 
     ``stop`` is an optional zero-argument drain predicate checked
     between waves (the CLI wires its SIGTERM/SIGINT handler here): once
-    it returns true the current wave is finished, persisted and its
-    claims released, the remaining waves never start, and the report
-    comes back with ``interrupted=True`` — a graceful shutdown loses
-    nothing and a re-run resumes from the ledger.
+    it returns true the current wave is finished and persisted, the
+    remaining waves never start, and the report comes back with
+    ``interrupted=True`` — a graceful shutdown loses nothing and a
+    re-run resumes from the ledger.
 
-    Ledger store operations (resume scan, artifact and claim-marker
-    writes) retry transient failures :data:`STORE_ATTEMPTS` times (with
-    deterministic jitter) before failing the campaign.
+    Ledger store operations (resume scan, artifact writes) retry
+    transient failures :data:`STORE_ATTEMPTS` times (with deterministic
+    jitter) before failing the campaign.
 
     Telemetry: the sweep runs under a ``campaign.run`` span with one
     ``campaign.wave`` span per wave (pooled per-request spans stitch
     under it) and emits ``campaign.start`` / ``campaign.wave.finish`` /
-    ``campaign.claim.contention`` / ``campaign.claim.gc`` /
     ``campaign.store.retry`` / ``campaign.interrupted`` /
     ``campaign.finish`` events on the process bus.
     """
     if not isinstance(spec, CampaignSpec):
         spec = CampaignSpec.from_dict(spec)
     svc = service if service is not None else get_service()
-    shard_id = None if shard is None else parse_shard(shard)
-    use_claims = claim if claim is not None else shard_id is not None
-    owner = f"{os.getpid():x}-{secrets.token_hex(4)}"
-    shard_label = None if shard_id is None else f"{shard_id[0]}/{shard_id[1]}"
+    owner = _new_owner()
     cells = spec.cells()
     done = _store_op(
-        "completed_cells", lambda: completed_cells(store, spec.name)
+        "completed_cells", lambda: completed_cells(store, spec.name), owner
     )
     pending = [cell for cell in cells if cell.digest not in done]
     skipped = len(cells) - len(pending)
-    if shard_id is not None:
-        pending = shard_cells(pending, shard_id)
     assigned = len(pending)
     truncated = False
     if limit is not None and len(pending) > limit:
@@ -782,7 +599,6 @@ def run_campaign(
 
     bus = get_bus()
     executed = 0
-    deferred = 0
     interrupted = False
     failures: list[dict[str, str]] = []
     start = time.perf_counter()
@@ -790,24 +606,17 @@ def run_campaign(
     n_waves = (len(pending) + step - 1) // step
     with span(
         "campaign.run", level="info", campaign=spec.name, total=len(cells),
-        skipped=skipped, assigned=assigned, shard=shard_label, owner=owner,
+        skipped=skipped, assigned=assigned, owner=owner,
     ) as campaign_span:
         bus.event(
             "campaign.start", campaign=spec.name, total=len(cells),
-            skipped=skipped, assigned=assigned, waves=n_waves,
-            shard=shard_label, owner=owner,
+            skipped=skipped, assigned=assigned, waves=n_waves, owner=owner,
         )
-        # The first claimed wave always scans for rivals; later waves only
-        # keep paying the marker read-back while rivals are actually
-        # live.  A rival appearing *after* scanning stops goes unseen — the
-        # worst case is a duplicate, bit-identical artifact, which resume
-        # and analysis dedupe by digest.
-        scan_claims = True
         for wave_no, wave_start in enumerate(range(0, len(pending), step), start=1):
             if stop is not None and stop():
                 # Drain semantics: the wave that was running when the
-                # stop request arrived has already been persisted and
-                # its claims released; just never start the next one.
+                # stop request arrived has already been persisted; just
+                # never start the next one.
                 interrupted = True
                 bus.event(
                     "campaign.interrupted", level="warning",
@@ -817,67 +626,24 @@ def run_campaign(
                 )
                 break
             wave = pending[wave_start : wave_start + step]
-            wave_executed = wave_failed = wave_deferred = 0
             with span(
                 "campaign.wave", level="info", campaign=spec.name,
                 wave=wave_no, waves=n_waves, cells=len(wave),
             ) as wave_span:
-                claim_ids: list[str] = []
-                if use_claims:
-                    wave, lost, claim_ids, rivals = _claim_wave(
-                        store, spec.name, wave, owner, claim_ttl, scan=scan_claims
-                    )
-                    scan_claims = rivals
-                    deferred += len(lost)
-                    wave_deferred = len(lost)
-                try:
-                    requests, runnable = [], []
-                    for cell in wave:
-                        try:
-                            requests.append(cell.to_request())
-                            runnable.append(cell)
-                        except Exception as exc:  # unknown app spec, bad config, ...
-                            failures.append(
-                                {"cell": cell.digest, "app": cell.app,
-                                 "machine": cell.machine, "error": repr(exc)}
-                            )
-                            wave_failed += 1
-                    results = svc.run(requests, processes=processes, rethrow=False)
-                    artifacts = []
-                    for cell, result in zip(runnable, results):
-                        if result.ok:
-                            artifacts.append(cell.artifact(result.value))
-                            executed += 1
-                            wave_executed += 1
-                        else:
-                            failures.append(
-                                {"cell": cell.digest, "app": cell.app,
-                                 "machine": cell.machine,
-                                 "error": result.error or "unknown error"}
-                            )
-                            wave_failed += 1
-                    if artifacts:
-                        _store_op(
-                            "artifacts.put", lambda: store.put_many(artifacts)
-                        )
-                finally:
-                    # Claims outlive an invocation only when it is killed hard
-                    # (no chance to clean up) — exactly the case claim_ttl
-                    # staleness exists for.
-                    _delete_claims(store, claim_ids)
-                wave_span.set(
-                    executed=wave_executed, failed=wave_failed,
-                    deferred=wave_deferred,
+                wave_executed, wave_failures = _execute_wave(
+                    wave, store, svc, processes, owner
                 )
+                wave_span.set(executed=wave_executed, failed=len(wave_failures))
+            executed += wave_executed
+            failures.extend(wave_failures)
             summary = {
                 "campaign": spec.name,
                 "wave": wave_no,
                 "waves": n_waves,
                 "total": len(cells),
-                "claimed": len(wave),
+                "cells": len(wave),
                 "executed": wave_executed,
-                "failed": wave_failed,
-                "deferred": wave_deferred,
+                "failed": len(wave_failures),
                 "completed": skipped + executed,
                 "pending": len(cells) - skipped - executed,
                 "elapsed": time.perf_counter() - start,
@@ -886,10 +652,10 @@ def run_campaign(
             if progress is not None:
                 progress(dict(summary))
         campaign_span.set(executed=executed, failed=len(failures),
-                          deferred=deferred, interrupted=interrupted)
+                          interrupted=interrupted)
         bus.event(
             "campaign.finish", campaign=spec.name, executed=executed,
-            failed=len(failures), deferred=deferred, interrupted=interrupted,
+            failed=len(failures), interrupted=interrupted,
             seconds=time.perf_counter() - start,
         )
 
@@ -901,8 +667,6 @@ def run_campaign(
         failed=failures,
         seconds=time.perf_counter() - start,
         truncated=truncated,
-        shard=None if shard_id is None else f"{shard_id[0]}/{shard_id[1]}",
         assigned=assigned,
-        deferred=deferred,
         interrupted=interrupted,
     )

@@ -1,11 +1,10 @@
 """Elastic campaign coordination: heartbeats, leases, work stealing.
 
-Static ``--shard i/n`` partitions (see :mod:`repro.runtime.campaign`)
-divide a sweep *a priori*: a dead or slow shard strands its whole
-partition until a human re-invokes it.  This module replaces the static
-partition with a **lease-based pull loop** over the same shared store
-ledger, so any number of workers — joining late, crashing, hanging or
-draining out — converge the campaign cooperatively:
+This is how several invocations share one campaign: a **lease-based pull
+loop** over the campaign's store ledger (see
+:mod:`repro.runtime.campaign`), so any number of workers — joining
+late, crashing, hanging or draining out — converge the campaign
+cooperatively:
 
 * **Membership.** Each worker registers a *heartbeat document* (command
   :data:`MEMBER_COMMAND`) and renews it from a background thread every
@@ -23,9 +22,9 @@ draining out — converge the campaign cooperatively:
 * **Stealing.** A lease is *live* while its newest record is fresher
   than the TTL **and** its owner's heartbeat is live.  Anything else is
   stolen: the thief writes a lease at ``epoch + 1``.  Lease resolution
-  generalises the claim protocol's tie-break — highest epoch wins, ties
-  resolve on ``(created, owner)`` — so a resurrected owner's late
-  renewal (old epoch) defers to the thief instead of fighting it.
+  is deterministic — highest epoch wins, ties resolve on ``(created,
+  owner)`` — so a resurrected owner's late renewal (old epoch) defers
+  to the thief instead of fighting it.
 * **Exactly-once ledger.** Every cell's artifact derives only from the
   cell's own identity, so the pathological races (two workers executing
   one cell during a steal window, a resurrected worker storing after
@@ -49,7 +48,6 @@ gauge.
 
 from __future__ import annotations
 
-import os
 import secrets
 import threading
 import time
@@ -63,7 +61,8 @@ from repro.runtime.campaign import (
     DEFAULT_CHECKPOINT,
     CampaignReport,
     CampaignSpec,
-    _delete_claims,
+    _execute_wave,
+    _new_owner,
     _store_op,
     completed_cells,
 )
@@ -91,9 +90,8 @@ MEMBER_COMMAND = "synapse:campaign-member"
 LEASE_COMMAND = "synapse:campaign-lease"
 
 #: Seconds a lease (and a member heartbeat) stays live without renewal.
-#: Deliberately much shorter than the claim protocol's 900 s staleness
-#: horizon: heartbeats renew at TTL/3, so takeover latency after a hard
-#: crash is ~one TTL instead of fifteen minutes.
+#: Heartbeats renew at TTL/3, so takeover latency after a hard crash is
+#: about one TTL.
 DEFAULT_LEASE_TTL = 60.0
 
 #: Marker documents (leases, heartbeats) older than ``ttl * this`` are
@@ -149,7 +147,7 @@ def live_members(
 
     Returns member id -> newest heartbeat stamp.  Index-plane only: a
     membership scan costs one tag-filtered ``entries`` call, no payload
-    reads — the same economics as the claim scan it generalises.
+    reads.
     """
     now = time.time() if now is None else now
     newest: dict[str, float] = {}
@@ -189,10 +187,9 @@ def resolve_lease(
 ) -> LeaseState | None:
     """Resolve one cell's lease records to their current holder.
 
-    The claim tie-break generalised to epochs: the **highest epoch**
-    wins outright (a steal supersedes everything before it), and same-
-    epoch races — two workers acquiring or stealing concurrently —
-    resolve on the claim protocol's ``(created, owner)`` minimum.  The
+    The **highest epoch** wins outright (a steal supersedes everything
+    before it), and same-epoch races — two workers acquiring or stealing
+    concurrently — resolve on the ``(created, owner)`` minimum.  The
     winning lease is *alive* while its newest record is fresher than
     ``ttl`` **and** its owner appears in ``live`` — a deregistered or
     dead owner's lease is stealable immediately, which is what makes
@@ -269,6 +266,7 @@ class _Heartbeat(threading.Thread):
             pid = _store_op(
                 "member.put",
                 lambda: self.store.put(_member_doc(self.campaign, self.worker)),
+                self.worker,
             )
         with self._state:
             self._member_id = pid
@@ -338,7 +336,7 @@ class _Heartbeat(threading.Thread):
                 with self._state:
                     previous, self._member_id = self._member_id, pid
                 if previous is not None:
-                    _delete_claims(self.store, [previous])
+                    _delete_markers(self.store, [previous])
         except Exception:  # noqa: BLE001 - dropped heartbeat, survivable
             pass
 
@@ -370,9 +368,21 @@ class _Heartbeat(threading.Thread):
                         else:
                             stale, current["renewal"] = current["renewal"], pid
                     if stale is not None:
-                        _delete_claims(self.store, [stale])
+                        _delete_markers(self.store, [stale])
             except Exception:  # noqa: BLE001 - dropped renewal, survivable
                 continue
+
+
+def _delete_markers(store: Any, ids: list[str]) -> None:
+    """Best-effort deletion of heartbeat/lease documents by store id."""
+    delete = getattr(store, "delete", None)
+    if delete is None:
+        return
+    for pid in ids:
+        try:
+            delete(pid)
+        except Exception:  # noqa: BLE001 - already gone / read-only store
+            pass
 
 
 def _expire_stale_markers(store: Any, ttl: float) -> None:
@@ -420,7 +430,7 @@ def _gc_dead_markers(
         ]
     except Exception:  # noqa: BLE001 - GC must never fail a wave
         return
-    _delete_claims(store, doomed)
+    _delete_markers(store, doomed)
 
 
 def _gc_worker_markers(store: Any, name: str, workers: list[str]) -> None:
@@ -437,7 +447,7 @@ def _gc_worker_markers(store: Any, name: str, workers: list[str]) -> None:
         ]
     except Exception:  # noqa: BLE001 - cleanup must never fail the fleet
         return
-    _delete_claims(store, doomed)
+    _delete_markers(store, doomed)
 
 
 def elastic_worker(
@@ -477,7 +487,7 @@ def elastic_worker(
     if not isinstance(spec, CampaignSpec):
         spec = CampaignSpec.from_dict(spec)
     if worker is None:
-        worker = f"{os.getpid():x}-{secrets.token_hex(4)}"
+        worker = _new_owner()
     if any(c in worker for c in "=,\n"):
         raise ConfigError(
             f"worker name {worker!r} must be free of '=', ',' and newlines"
@@ -493,7 +503,7 @@ def elastic_worker(
 
     def locked_op(what: str, fn: Callable[[], Any]) -> Any:
         with lock:
-            return _store_op(what, fn)
+            return _store_op(what, fn, worker)
 
     done_at_start = locked_op(
         "completed_cells", lambda: completed_cells(store, name)
@@ -506,7 +516,6 @@ def elastic_worker(
     truncated = False
     interrupted = False
     failures: list[dict[str, str]] = []
-    failed_digests: set[str] = set()
     start = time.perf_counter()
     step = max(1, batch)
 
@@ -517,7 +526,10 @@ def elastic_worker(
     ) as campaign_span:
         heartbeat.register()
         heartbeat.start()
-        members = live_members(store, name, lease_ttl)
+        # Under the lock like every store call from here on: the beat
+        # thread is already writing to the same (thread-unsafe) store.
+        with lock:
+            members = live_members(store, name, lease_ttl)
         registry.set_gauge("coordinator.members", float(len(members)))
         bus.event(
             "campaign.member.join", campaign=name, member=worker,
@@ -525,7 +537,7 @@ def elastic_worker(
         )
         bus.event(
             "campaign.start", campaign=name, total=len(cells),
-            skipped=skipped, assigned=0, waves=0, shard=None, owner=worker,
+            skipped=skipped, assigned=0, waves=0, owner=worker,
         )
         wave_no = 0
         try:
@@ -548,7 +560,8 @@ def elastic_worker(
                 ]
                 if not pending:
                     break
-                workable = [d for d in pending if d not in failed_digests]
+                failed_here = {failure["cell"] for failure in failures}
+                workable = [d for d in pending if d not in failed_here]
                 if not workable:
                     break  # everything left already failed here; give up
                 now = time.time()
@@ -556,7 +569,7 @@ def elastic_worker(
                     _expire_stale_markers(store, lease_ttl)
                     members = live_members(store, name, lease_ttl, now)
                     leases = _store_op(
-                        "lease.scan", lambda: lease_records(store, name)
+                        "lease.scan", lambda: lease_records(store, name), worker
                     )
                 registry.set_gauge("coordinator.members", float(len(members)))
                 # Deal this wave: free cells first, then stale leases to
@@ -645,7 +658,8 @@ def elastic_worker(
                 # resolves deterministically for everyone.
                 with lock:
                     confirm = _store_op(
-                        "lease.confirm", lambda: lease_records(store, name)
+                        "lease.confirm", lambda: lease_records(store, name),
+                        worker,
                     )
                 now = time.time()
                 won: dict[str, tuple[int, str]] = {}
@@ -665,60 +679,33 @@ def elastic_worker(
                         lost_ids.append(anchor)
                 if lost_ids:
                     with lock:
-                        _delete_claims(store, lost_ids)
+                        _delete_markers(store, lost_ids)
                 if not won:
                     continue
                 wave_no += 1
                 wave_cells = [cells[digest] for digest in won]
-                wave_executed = wave_failed = 0
                 registry.inc("coordinator.waves")
                 with span(
                     "campaign.wave", level="info", campaign=name,
                     wave=wave_no, cells=len(wave_cells), member=worker,
                     stolen=stolen_now,
                 ) as wave_span:
-                    requests, runnable = [], []
-                    for cell in wave_cells:
-                        try:
-                            requests.append(cell.to_request())
-                            runnable.append(cell)
-                        except Exception as exc:  # unknown app, bad config
-                            failures.append(
-                                {"cell": cell.digest, "app": cell.app,
-                                 "machine": cell.machine, "error": repr(exc)}
-                            )
-                            failed_digests.add(cell.digest)
-                            wave_failed += 1
-                    heartbeat.hold(won, batch_budget(requests))
                     try:
-                        results = svc.run(
-                            requests, processes=processes, rethrow=False
+                        wave_executed, wave_failures = _execute_wave(
+                            wave_cells, store, svc, processes, worker,
+                            guard=lock,
+                            hold=lambda requests: heartbeat.hold(
+                                won, batch_budget(requests)
+                            ),
                         )
-                        artifacts = []
-                        for cell, result in zip(runnable, results):
-                            if result.ok:
-                                artifacts.append(cell.artifact(result.value))
-                                executed += 1
-                                wave_executed += 1
-                            else:
-                                failures.append(
-                                    {"cell": cell.digest, "app": cell.app,
-                                     "machine": cell.machine,
-                                     "error": result.error or "unknown error"}
-                                )
-                                failed_digests.add(cell.digest)
-                                wave_failed += 1
-                        if artifacts:
-                            locked_op(
-                                "artifacts.put",
-                                lambda: store.put_many(artifacts),
-                            )
                     finally:
                         with lock:
-                            _delete_claims(store, heartbeat.release())
+                            _delete_markers(store, heartbeat.release())
                     wave_span.set(
-                        executed=wave_executed, failed=wave_failed
+                        executed=wave_executed, failed=len(wave_failures)
                     )
+                executed += wave_executed
+                failures.extend(wave_failures)
                 with lock:
                     _gc_dead_markers(store, name, lease_ttl, time.time())
                 summary = {
@@ -727,9 +714,9 @@ def elastic_worker(
                     "wave": wave_no,
                     "waves": wave_no,
                     "total": len(cells),
-                    "claimed": len(wave_cells),
+                    "cells": len(wave_cells),
                     "executed": wave_executed,
-                    "failed": wave_failed,
+                    "failed": len(wave_failures),
                     "deferred": deferred,
                     "stolen": stolen_now,
                     "completed": skipped + executed,
@@ -741,7 +728,7 @@ def elastic_worker(
                     progress(dict(summary))
         finally:
             with lock:
-                _delete_claims(store, heartbeat.deregister())
+                _delete_markers(store, heartbeat.deregister())
             bus.event(
                 "campaign.member.leave", campaign=name, member=worker,
                 executed=executed, stolen=stolen, interrupted=interrupted,
@@ -767,13 +754,12 @@ def elastic_worker(
         total=len(cells),
         # ``skipped`` counts everything completed by someone else — at
         # start or by rivals while we ran — so ``remaining`` reflects
-        # the sweep-wide ledger state, exactly like sharded reports.
+        # the sweep-wide ledger state.
         skipped=len(set(cells) & final_done) - executed,
         executed=executed,
         failed=remaining_failures,
         seconds=time.perf_counter() - start,
         truncated=truncated,
-        shard=None,
         assigned=executed,
         deferred=deferred,
         interrupted=interrupted,
@@ -951,7 +937,6 @@ def run_elastic(
         executed=executed,
         failed=failures,
         seconds=time.perf_counter() - start,
-        shard=None,
         assigned=executed,
         deferred=sum(int(report.get("deferred", 0)) for report in reports),
         interrupted=interrupted,

@@ -104,7 +104,7 @@ class RunPolicy:
         ``backoff * k`` seconds before the next attempt.
     jitter:
         With jitter (the default) the actual sleep is drawn uniformly
-        from ``[0, backoff * k)`` — *full jitter*, so many shards
+        from ``[0, backoff * k)`` — *full jitter*, so many workers
         retrying the same contended resource desynchronise instead of
         thundering-herding in lockstep.  The draw is seeded from the
         request's own identity (key, seed, index, attempt), never from

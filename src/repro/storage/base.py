@@ -13,7 +13,7 @@ Two access planes, one contract:
 * **Index plane** — :meth:`ProfileStore.entries` / :meth:`ids_for` /
   :meth:`find_ids` answer "which profiles match" from the store's
   ``(command, tags)`` index as lightweight :class:`StoreEntry` records,
-  *without* deserialising profile payloads.  Campaign ledgers, claim
+  *without* deserialising profile payloads.  Campaign ledgers, lease
   scans and placement lookups live on this plane.
 
 The base class supplies brute-force implementations over
@@ -106,7 +106,7 @@ class ProfileStore(ABC):
         """Ids of all profiles matching command/tags, oldest-first.
 
         The public replacement for reaching into ``_iter_profiles``:
-        callers that only need identities (ledger bookkeeping, claim GC,
+        callers that only need identities (ledger bookkeeping, marker GC,
         targeted deletes) get them without payload I/O.
         """
         return [entry.id for entry in self.entries(command, tags)]

@@ -48,8 +48,8 @@ directory (names only, via ``scandir``) and reconciles:
 
 Because validation compares directory listings rather than timestamps,
 a second writer appending to a group is visible to every reader's next
-query even within one filesystem-timestamp tick — the invariant the
-sharded-campaign ledger depends on.  A group's ``(command, tags)``
+query even within one filesystem-timestamp tick — the invariant a
+shared campaign ledger depends on.  A group's ``(command, tags)``
 identity is immutable (the directory name is its hash), so groups ruled
 out by a query's command/tag filter are pruned from cache without any
 directory I/O.
@@ -399,7 +399,7 @@ class FileStore(ProfileStore):
             )
         if not live:
             # Garbage-collect a dead group (every profile deleted — e.g.
-            # a cleaned-up campaign claim): drop the stale journal and
+            # a cleaned-up campaign lease): drop the stale journal and
             # the directory itself so future queries stop re-scanning
             # it.  A concurrent writer reviving the group wins the race:
             # rmdir fails on a non-empty directory, and ``_write``

@@ -18,13 +18,13 @@ not available here, so this module implements a small, faithful stand-in:
   the horizon are expired server-side — here by a throttled lazy sweep
   on the read paths instead of a background thread — optionally scoped
   by a ``match`` query (the shape of a partial/filtered TTL index), so
-  claim/lease *markers* expire without ever touching real profiles in
+  lease/heartbeat *markers* expire without ever touching real profiles in
   the same collection.
 * :class:`MongoStore` — the :class:`~repro.storage.base.ProfileStore`
   backed by a ``MongoLite`` collection.  It creates indexes on
   ``command`` and ``tags`` (the paper's §4 search keys); because the
   tags index is multikey over the full tag strings, campaign-ledger
-  lookups by ``campaign=``/``claim=``/``cell=`` tags and tag-prefix
+  lookups by ``campaign=``/``lease=``/``cell=`` tags and tag-prefix
   scans resolve to index walks instead of collection scans, and query
   matching runs on the raw stored documents — profiles are only
   deserialised for confirmed matches.  When a profile document exceeds
@@ -132,8 +132,8 @@ class Collection:
         seconds; documents without a numeric value never expire — exactly
         like documents missing the indexed date field in Mongo).
         ``match`` scopes eligibility the way a partial/filtered TTL index
-        does — here it keeps expiry to *marker* documents (claims,
-        leases, heartbeats) sharing a collection with real profiles.
+        does — here it keeps expiry to *marker* documents (leases,
+        heartbeats) sharing a collection with real profiles.
 
         Expiry is lazy: read paths sweep at most once per
         :data:`TTL_SWEEP_INTERVAL`; :meth:`expire_now` forces one.
@@ -235,7 +235,7 @@ class Collection:
     def index_values(self, field: str, prefix: str = "") -> list[Any]:
         """Distinct indexed values of ``field`` (optionally by string
         prefix) without touching any document — the tag-prefix lookup
-        behind ``claim=``/``cell=`` ledger scans."""
+        behind ``lease=``/``cell=`` ledger scans."""
         self._maybe_expire()
         index = self._indexes.get(field)
         if index is None:
@@ -528,8 +528,8 @@ class MongoStore(ProfileStore):
         Installs (idempotently) a scoped TTL index — ``created`` older
         than ``seconds``, documents whose ``command`` equals the marker
         command — and sweeps immediately, returning the number expired.
-        Claim/lease/heartbeat markers stop accumulating between the
-        campaign layer's explicit GC passes; real profiles in the same
+        Lease/heartbeat markers stop accumulating between the elastic
+        coordinator's explicit GC passes; real profiles in the same
         collection are untouched.  Later expirations happen lazily on
         the read paths (throttled to :data:`TTL_SWEEP_INTERVAL`).
         """

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,9 +27,11 @@ from repro.faults.inject import injected_faults
 from repro.runtime import (
     CampaignSpec,
     RunService,
+    analyze_campaign,
     completed_cells,
     elastic_worker,
     lease_records,
+    ledger_digest,
     live_members,
     resolve_lease,
     run_campaign,
@@ -49,6 +52,12 @@ from repro.telemetry.metrics import get_registry
 
 from tests.runtime.conftest import ledger_dict as _ledger_dict
 
+#: The campaign determinism golden's spec (``test_campaign_golden.py``).
+GOLDEN_SPEC = json.loads(
+    (Path(__file__).parent / "fixtures" / "campaign_seed_golden.json")
+    .read_text(encoding="utf-8")
+)["spec"]
+
 SPEC = {
     "name": "elastic-camp",
     "kind": "profile",
@@ -62,11 +71,20 @@ SPEC = {
 
 @pytest.fixture(scope="module")
 def reference():
-    """Fault-free unsharded ledger — the convergence target."""
+    """Fault-free single-run ledger — the convergence target."""
     spec = CampaignSpec.from_dict(SPEC)
     store = MemoryStore()
     assert run_campaign(spec, store).complete
     return spec, _ledger_dict(store, spec.name)
+
+
+@pytest.fixture(scope="module")
+def golden_reference(tmp_path_factory):
+    """One ``run_campaign`` of the golden spec into a FileStore."""
+    spec = CampaignSpec.from_dict(GOLDEN_SPEC)
+    store = FileStore(tmp_path_factory.mktemp("golden") / "single")
+    assert run_campaign(spec, store).complete
+    return spec, store
 
 
 @pytest.fixture
@@ -353,6 +371,62 @@ class TestElasticWorkerSingle:
         assert get_registry().gauge("coordinator.members") is not None
 
 
+class _OverlapProbe:
+    """Store proxy counting the moments two threads are inside it at once.
+
+    The first ``entries`` scan of ``slow_command`` sleeps, so a store
+    call made outside the worker's lock overlaps a heartbeat write.
+    """
+
+    def __init__(self, store, slow_command: str, delay: float) -> None:
+        self._store = store
+        self._slow = slow_command
+        self._delay = delay
+        self._guard = threading.Lock()
+        self._inside = 0
+        self.overlaps = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._store, name)
+        if not callable(attr):
+            return attr
+
+        def call(*args, **kwargs):
+            with self._guard:
+                self._inside += 1
+                if self._inside > 1:
+                    self.overlaps += 1
+                slow = name == "entries" and args[:1] == (self._slow,)
+                if slow:
+                    self._slow = None
+            try:
+                if slow:
+                    time.sleep(self._delay)
+                return attr(*args, **kwargs)
+            finally:
+                with self._guard:
+                    self._inside -= 1
+
+        return call
+
+
+class TestStoreLocking:
+    def test_store_calls_never_overlap_heartbeats(self, tmp_path, reference):
+        """Stores are not thread-safe: every call from the pull loop and
+        the heartbeat thread is serialised, including the membership
+        scan right after the heartbeat thread starts."""
+        spec, expected = reference
+        store = _OverlapProbe(
+            FileStore(tmp_path / "s"), MEMBER_COMMAND, delay=0.3
+        )
+        report = elastic_worker(
+            spec, store, worker="w", lease_ttl=0.15, service=serial()
+        )
+        assert report.complete
+        assert store.overlaps == 0
+        assert _ledger_dict(FileStore(tmp_path / "s"), spec.name) == expected
+
+
 class TestTakeover:
     def age(self, ttl: float) -> float:
         """Stale against ``ttl`` but fresher than the GC horizon."""
@@ -506,7 +580,7 @@ class TestThreadFleet:
 
     def test_three_workers_converge_bit_identically(self, tmp_path, reference):
         """The determinism golden: an elastic 3-worker race produces the
-        same ledger as the fault-free unsharded reference."""
+        same ledger as the fault-free single-run reference."""
         spec, expected = reference
         root = tmp_path / "s"
         reports = self.run_fleet(root, spec, workers=3)
@@ -517,6 +591,26 @@ class TestThreadFleet:
         store = FileStore(root)
         assert _ledger_dict(store, spec.name) == expected
         assert marker_count(store, spec.name) == 0
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_fleet_matches_single_run_ledger_and_report(
+        self, tmp_path, golden_reference, workers
+    ):
+        """The determinism golden for fleets: N workers sharing one
+        FileStore fill a ledger — and a ``--report`` — identical to one
+        ``run_campaign`` of the golden spec."""
+        spec, single = golden_reference
+        root = tmp_path / "s"
+        reports = self.run_fleet(root, spec, workers=workers)
+        assert sum(report.executed for report in reports) >= spec.n_cells
+        store = FileStore(root)
+        assert _ledger_dict(store, spec.name) == _ledger_dict(single, spec.name)
+        assert ledger_digest(store, spec.name) == ledger_digest(single, spec.name)
+        assert marker_count(store, spec.name) == 0
+        fleet = analyze_campaign(spec, store)
+        one = analyze_campaign(spec, single)
+        for fmt in ("table", "json", "csv"):
+            assert fleet.render(fmt) == one.render(fmt)
 
     def test_late_joiner_attaches_and_helps(self, tmp_path, reference):
         spec, expected = reference
@@ -612,6 +706,25 @@ class TestProcessFleet:
         store = FileStore(tmp_path / "s")
         assert _ledger_dict(store, spec.name) == expected
         assert marker_count(store, spec.name) == 0
+
+    def test_filestore_fleet_matches_single_run_report(
+        self, tmp_path, golden_reference
+    ):
+        """The acceptance scenario verbatim: two worker processes on one
+        FileStore yield a ledger *and* ``--report`` output identical to
+        one ``run_campaign`` of the golden spec."""
+        spec, single = golden_reference
+        report = run_elastic(
+            spec, self.url(tmp_path), workers=2, lease_ttl=2.0, batch=2
+        )
+        assert report.complete and report.executed == spec.n_cells
+        store = FileStore(tmp_path / "s")
+        assert _ledger_dict(store, spec.name) == _ledger_dict(single, spec.name)
+        assert marker_count(store, spec.name) == 0
+        fleet = analyze_campaign(spec, store)
+        one = analyze_campaign(spec, single)
+        for fmt in ("table", "json", "csv"):
+            assert fleet.render(fmt) == one.render(fmt)
 
     def test_fleet_rejects_process_private_stores(self, reference):
         spec, _ = reference

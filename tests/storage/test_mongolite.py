@@ -199,7 +199,7 @@ class TestMongoStoreExpireMarkers:
         store = MongoStore()
         stale = time.time() - 3600.0
         marker = Profile(
-            command="synapse:campaign-claim", tags=("campaign=c", "claim=x"),
+            command="synapse:campaign-lease", tags=("campaign=c", "lease=x"),
             samples=[], created=stale,
         )
         real = Profile(
@@ -207,7 +207,7 @@ class TestMongoStoreExpireMarkers:
             samples=[Sample(index=0, t=0.0, dt=1.0, values={})], created=stale,
         )
         store.put_many([marker, real])
-        assert store.expire_markers("synapse:campaign-claim", 900.0) == 1
+        assert store.expire_markers("synapse:campaign-lease", 900.0) == 1
         assert store.count() == 1
         assert store.find("sleep 1")
-        assert store.find("synapse:campaign-claim") == []
+        assert store.find("synapse:campaign-lease") == []

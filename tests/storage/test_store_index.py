@@ -277,18 +277,18 @@ class TestFileStoreSidecarIndex:
 
     def test_dead_groups_are_garbage_collected(self, tmp_path):
         """A group whose every profile was deleted (a cleaned-up
-        campaign claim) disappears entirely instead of being re-scanned
+        campaign lease) disappears entirely instead of being re-scanned
         by every later query."""
         root = tmp_path / "p"
         store = FileStore(root)
         keep = store.put(make_profile(command="keep"))
-        doomed = store.put(make_profile(command="claim marker"))
+        doomed = store.put(make_profile(command="lease marker"))
         store.delete(doomed)
-        assert store.find("claim marker") == []  # triggers the lazy GC
+        assert store.find("lease marker") == []  # triggers the lazy GC
         assert [d.name for d in root.iterdir()] == [keep.split("/")[0]]
         # The group revives cleanly if the key is ever written again.
-        store.put(make_profile(command="claim marker"))
-        assert len(store.find("claim marker")) == 1
+        store.put(make_profile(command="lease marker"))
+        assert len(store.find("lease marker")) == 1
 
     def test_write_survives_concurrent_group_gc(self, tmp_path):
         """A reader's empty-group GC can rmdir the directory between a
@@ -326,15 +326,15 @@ class TestMongoCollectionIndexes:
         assert store.collection.ids_with("machine", {}) is None
 
     def test_index_values_prefix_lookup(self):
-        """The tag-prefix lookup behind claim=/cell= ledger scans."""
+        """The tag-prefix lookup behind lease=/cell= ledger scans."""
         store = MongoStore()
         store.put(make_profile(tags=("campaign=c", "cell=abc")))
         store.put(make_profile(tags=("campaign=c", "cell=def")))
-        store.put(make_profile(tags=("campaign=c", "claim=abc")))
+        store.put(make_profile(tags=("campaign=c", "lease=abc")))
         assert sorted(store.collection.index_values("tags", "cell=")) == [
             "cell=abc", "cell=def",
         ]
-        assert store.collection.index_values("tags", "claim=") == ["claim=abc"]
+        assert store.collection.index_values("tags", "lease=") == ["lease=abc"]
         with pytest.raises(StoreError):
             store.collection.index_values("nope", "x")
 

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import time
-
 from repro.core.multiproc import parallel_map
 from repro.core.samples import Profile
 from repro.runtime import CampaignSpec, RunRequest, RunService, run_campaign
-from repro.runtime.campaign import CLAIM_COMMAND
 from repro.sim.demands import ComputeDemand
 from repro.sim.workload import SimWorkload
 from repro.storage import FileStore
@@ -113,39 +110,6 @@ class TestCampaignEvents:
         waves = sink.spans("campaign.wave")
         assert len(waves) == 2
         assert all(e.parent_id == campaign_span.span_id for e in waves)
-
-    def test_claim_contention_event(self, sink):
-        spec = CampaignSpec.from_dict(SPEC)
-        store = MemoryStore()
-        contested = spec.cells()[0]
-        store.put(Profile(
-            command=CLAIM_COMMAND,
-            tags={"campaign": spec.name, "claim": contested.digest,
-                  "owner": "a-rival"},
-            created=time.time() - 1.0,
-        ))
-        report = run_campaign(spec, store, claim=True)
-        assert report.deferred == 1
-        contention = sink.named("campaign.claim.contention")
-        assert len(contention) == 1
-        assert contention[0].level == "warning"
-        assert contention[0].attrs["deferred"] == 1
-        assert contention[0].attrs["cells"] == [contested.digest]
-
-    def test_stale_claim_gc_event(self, sink):
-        spec = CampaignSpec.from_dict(SPEC)
-        store = MemoryStore()
-        stale = spec.cells()[0]
-        store.put(Profile(
-            command=CLAIM_COMMAND,
-            tags={"campaign": spec.name, "claim": stale.digest,
-                  "owner": "dead-shard"},
-            created=time.time() - 3600.0,
-        ))
-        report = run_campaign(spec, store, claim=True, claim_ttl=60.0)
-        assert report.deferred == 0 and report.complete
-        gc_events = sink.named("campaign.claim.gc")
-        assert gc_events and gc_events[0].attrs["stale"] == 1
 
 
 class TestStoreMetrics:

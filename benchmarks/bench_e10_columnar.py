@@ -18,7 +18,12 @@ OpenMP chunks, the per-sample shape ``core/plan.py`` emits):
   engine (:meth:`Engine.open_stream`) consumes each wave once;
 * **memory** — subprocess peak RSS of streaming runs at two total
   sizes with the same per-wave batch size (bounded by batch, not
-  workload) against full-run and object-workload footprints.
+  workload) against full-run and object-workload footprints;
+* **app build** — ``GromacsModel(10⁶ iterations, chunks=10⁵)``, the
+  paper's validation app at fine trace granularity, built directly
+  (``build_packed``: one ``PackedBuilder.rounds`` call for the MD loop)
+  vs compiled from its object workload (``pack_workload(build_workload)``),
+  with the columns asserted equal.  Quick mode uses 10⁴ chunks.
 
 Baseline constants below were measured at the pre-PR commit
 (``1a7006d``, the seed of this PR) on the same machine class that
@@ -44,6 +49,7 @@ import time
 
 import numpy as np
 
+from repro.apps import GromacsModel
 from repro.sim.demands import (
     ComputeDemand,
     IODemand,
@@ -53,7 +59,7 @@ from repro.sim.demands import (
 from repro.sim.engine import Engine
 from repro.sim.machines import get_machine
 from repro.sim.noise import NoiseModel
-from repro.sim.packed import PackedBuilder, PackedWorkload
+from repro.sim.packed import PackedBuilder, PackedWorkload, pack_workload
 from repro.sim.workload import SimWorkload
 from repro.util.tables import Table
 
@@ -267,6 +273,39 @@ def _probe(mode: str) -> dict:
 # -- measurement -------------------------------------------------------------
 
 
+def _assert_same_columns(got: PackedWorkload, ref: PackedWorkload) -> None:
+    assert (got.n, got.n_phases) == (ref.n, ref.n_phases)
+    names = ("class_names", "paradigm_names", "fs_names")
+    assert [getattr(got, k) for k in names] == [getattr(ref, k) for k in names]
+    ref_cols = ref.column_arrays()
+    for key, column in got.column_arrays().items():
+        assert column.dtype == ref_cols[key].dtype, key
+        assert np.array_equal(
+            column, ref_cols[key], equal_nan=column.dtype.kind == "f"
+        ), f"direct app build diverged from the compiled build in {key}"
+
+
+def measure_app_build(chunks: int, repeats: int = 3) -> dict:
+    """Direct columnar Gromacs build vs compiling its object workload."""
+    machine = get_machine(MACHINE)
+    app = GromacsModel(iterations=1_000_000, chunks=chunks)
+    _, direct = _time(lambda: app.build_packed(machine), repeats=repeats)
+    _, compiled = _time(
+        lambda: pack_workload(app.build_workload(machine)), repeats=repeats
+    )
+    packed = app.build_packed(machine)
+    _assert_same_columns(packed, pack_workload(app.build_workload(machine)))
+    return {
+        "app": f"GromacsModel(iterations=1000000, chunks={chunks})",
+        "n_demands": packed.n,
+        "direct_build_seconds": direct,
+        "compiled_build_seconds": compiled,
+        "build_ratio": compiled / direct,
+        "columns_equal": True,
+    }
+
+
+
 def measure(n_demands: int = 1_000_000, waves: int = 24, quick: bool = False) -> dict:
     """All E10 numbers as a plain-data dict (asserts bit-identity)."""
     machine = get_machine(MACHINE)
@@ -358,6 +397,7 @@ def measure(n_demands: int = 1_000_000, waves: int = 24, quick: bool = False) ->
             "stream_demands_per_sec": packed.n / stream_seconds,
         },
         "memory": memory,
+        "app_build": measure_app_build(10_000 if quick else 100_000),
         "digest": packed_digest,
         "digests_identical": True,
     }
@@ -417,6 +457,13 @@ def as_table(results: dict) -> Table:
             f"{arrivals['stream_seconds']:.3f}",
             f"{arrivals['speedup_vs_pre_pr']:.0f}x",
         ])
+    app = results["app_build"]
+    table.add_row([
+        f"app build seconds ({app['n_demands']} demands, best)",
+        f"{app['compiled_build_seconds']:.3f}",
+        f"{app['direct_build_seconds']:.3f}",
+        f"{app['build_ratio']:.1f}x",
+    ])
     memory = results["memory"]
     table.add_row([
         "stream RSS full vs quarter (MB)",
@@ -434,6 +481,8 @@ def test_e10_columnar_quick():
     results = measure(n_demands=10_000, waves=4, quick=True)
     assert results["digests_identical"]
     assert results["batch"]["run_speedup"] > 1.0
+    assert results["app_build"]["columns_equal"]
+    assert results["app_build"]["build_ratio"] > 1.0
     # Streaming memory must not scale with the total demand count (wide
     # slack: at smoke scale both sides are dominated by the interpreter
     # baseline, the committed full run holds the tight bound).
@@ -476,6 +525,7 @@ def main() -> None:
         "run_speedup": results["batch"]["run_speedup"],
         "stream_demands_per_sec": results["arrivals"]["stream_demands_per_sec"],
         "stream_rss_ratio": results["memory"]["stream_rss_ratio_full_vs_quarter"],
+        "app_build_ratio": results["app_build"]["build_ratio"],
     }
     if "speedup_vs_pre_pr" in results["arrivals"]:
         summary["arrivals_speedup_vs_pre_pr"] = results["arrivals"][

@@ -12,11 +12,38 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+import numpy as np
+
+from repro.core.errors import WorkloadError
 from repro.sim.packed import PackedWorkload, pack_workload
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
 
-__all__ = ["ApplicationModel"]
+__all__ = ["ApplicationModel", "chunk_sizes"]
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def chunk_sizes(total: int | float, chunks: int) -> np.ndarray:
+    """Sizes of the ``chunks`` slices of ``total`` cut at ``total * k // chunks``.
+
+    These are exactly the boundaries of the per-chunk loop in the
+    models' ``build_workload``.  An integer total goes through ``divmod``,
+    so no intermediate product leaves int64 however large ``total *
+    chunks`` is; slices that do not themselves fit int64 raise
+    :class:`WorkloadError` instead of wrapping.  A float total (a spec
+    such as ``bytes_written=1e6``) follows float floor division, as the
+    loop does.
+    """
+    if isinstance(total, (float, np.floating)):
+        return np.diff(total * np.arange(chunks + 1, dtype=np.float64) // chunks)
+    quotient, remainder = divmod(int(total), chunks)
+    if not -_INT64_MAX <= quotient < _INT64_MAX or chunks > 1 << 31:
+        raise WorkloadError(f"{total} bytes in {chunks} chunks overflow int64")
+    if not remainder:
+        return np.full(chunks, quotient, dtype=np.int64)
+    steps = remainder * np.arange(chunks + 1, dtype=np.int64) // chunks
+    return quotient + np.diff(steps)
 
 
 class ApplicationModel(ABC):

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.apps.base import ApplicationModel
+from repro.apps.base import ApplicationModel, chunk_sizes
 from repro.sim.demands import ComputeDemand, IODemand, MemoryDemand
-from repro.sim.packed import PackedBuilder, PackedWorkload
+from repro.sim.packed import PackedBuilder, PackedWorkload, RoundPart
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
 
@@ -196,20 +196,20 @@ class GromacsModel(ApplicationModel):
 
         b.phase("mdrun")
         b.stream("main")
-        instructions = self.instructions(machine)
-        out_bytes = self.bytes_written()
-        for chunk in range(self.chunks):
-            b.compute(
-                instructions=instructions / self.chunks,
-                workload_class="app.md",
-                flops_per_instruction=_FLOP_FRACTION,
-                threads=self.threads,
-                paradigm=self.paradigm,
-            )
-            lo = out_bytes * chunk // self.chunks
-            hi = out_bytes * (chunk + 1) // self.chunks
-            if hi > lo:
-                b.io(bytes_written=hi - lo, block_size=64 << 10, filesystem=fs)
+        written = chunk_sizes(self.bytes_written(), self.chunks)
+        b.rounds(
+            self.chunks,
+            RoundPart("compute", {
+                "instructions": self.instructions(machine) / self.chunks,
+                "workload_class": "app.md",
+                "flops_per_instruction": _FLOP_FRACTION,
+                "threads": self.threads,
+                "paradigm": self.paradigm,
+            }),
+            RoundPart("io", {
+                "bytes_written": written, "block_size": 64 << 10, "filesystem": fs,
+            }, where=written > 0),
+        )
 
         b.phase("teardown")
         b.stream("main")

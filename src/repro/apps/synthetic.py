@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.apps.base import ApplicationModel
+from repro.apps.base import ApplicationModel, chunk_sizes
 from repro.sim.demands import (
     ComputeDemand,
     IODemand,
@@ -24,7 +24,7 @@ from repro.sim.demands import (
     NetworkDemand,
     SleepDemand,
 )
-from repro.sim.packed import PackedBuilder, PackedWorkload
+from repro.sim.packed import PackedBuilder, PackedWorkload, RoundPart
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
 
@@ -123,19 +123,23 @@ class SyntheticApp(ApplicationModel):
             self.command(), base_rss=2 << 20, metadata={"app": "synthetic"}
         )
         fs = self.filesystem if self.filesystem != "default" else machine.default_fs
-
-        def emit_io(chunk: int) -> None:
-            read_lo = self.bytes_read * chunk // self.chunks
-            read_hi = self.bytes_read * (chunk + 1) // self.chunks
-            write_lo = self.bytes_written * chunk // self.chunks
-            write_hi = self.bytes_written * (chunk + 1) // self.chunks
-            if read_hi > read_lo or write_hi > write_lo:
-                b.io(
-                    bytes_read=read_hi - read_lo,
-                    bytes_written=write_hi - write_lo,
-                    block_size=self.io_block_size,
-                    filesystem=fs,
-                )
+        read = chunk_sizes(self.bytes_read, self.chunks)
+        written = chunk_sizes(self.bytes_written, self.chunks)
+        io = RoundPart("io", {
+            "bytes_read": read,
+            "bytes_written": written,
+            "block_size": self.io_block_size,
+            "filesystem": fs,
+        }, where=(read > 0) | (written > 0))
+        loop = [RoundPart("compute", {
+            "instructions": self.instructions / self.chunks,
+            "workload_class": self.workload_class,
+            "flops_per_instruction": self.flop_fraction,
+            "threads": self.threads,
+            "paradigm": self.paradigm,
+        })] if self.instructions else []
+        if not self.overlap_io:
+            loop.append(io)
 
         b.phase("main")
         b.stream("compute")
@@ -143,23 +147,12 @@ class SyntheticApp(ApplicationModel):
             b.memory(allocate=self.memory_bytes, block_size=self.mem_block_size)
         if self.sleep_seconds:
             b.sleep(self.sleep_seconds)
-        for chunk in range(self.chunks):
-            if self.instructions:
-                b.compute(
-                    instructions=self.instructions / self.chunks,
-                    workload_class=self.workload_class,
-                    flops_per_instruction=self.flop_fraction,
-                    threads=self.threads,
-                    paradigm=self.paradigm,
-                )
-            if not self.overlap_io:
-                emit_io(chunk)
+        b.rounds(self.chunks, *loop)
         if self.net_sent or self.net_received:
             b.network(bytes_sent=self.net_sent, bytes_received=self.net_received)
         if self.overlap_io:
             b.stream("io")
-            for chunk in range(self.chunks):
-                emit_io(chunk)
+            b.rounds(self.chunks, io)
 
         if self.memory_bytes:
             b.phase("teardown")

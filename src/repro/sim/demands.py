@@ -9,6 +9,7 @@ through exactly the same counters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -53,8 +54,12 @@ class ComputeDemand(Demand):
     stall_ratio: float | None = None
 
     def __post_init__(self) -> None:
-        if self.instructions < 0:
-            raise ValueError("instructions must be non-negative")
+        if not 0 <= self.instructions < math.inf:
+            raise ValueError("instructions must be finite and non-negative")
+        if self.calibrated_cycles is not None and not math.isfinite(
+            self.calibrated_cycles
+        ):
+            raise ValueError("calibrated_cycles must be finite")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if not (0.0 <= self.flops_per_instruction <= 1.0):
@@ -121,5 +126,5 @@ class SleepDemand(Demand):
     seconds: float
 
     def __post_init__(self) -> None:
-        if self.seconds < 0:
-            raise ValueError("sleep duration must be non-negative")
+        if not 0 <= self.seconds < math.inf:
+            raise ValueError("sleep duration must be finite and non-negative")

@@ -16,8 +16,14 @@ Three ways to obtain one:
   phase/stream/demand vocabulary as ``SimWorkload`` (what the
   application models' ``build_packed`` methods use);
 * :meth:`PackedBuilder.compute_many` & friends append whole column
-  chunks at once (what synthetic traffic generators and benchmarks
-  use to build million-demand workloads in milliseconds).
+  chunks at once, and :meth:`PackedBuilder.rounds` appends *n* rounds
+  of a fixed demand pattern (what the application models' chunk loops
+  and the benchmarks use).
+
+The builder keeps every bulk append as a chunk of NumPy arrays, and
+scalar appends as a row tail that becomes one chunk when needed;
+:meth:`PackedBuilder.build` makes one concatenate per column.  So a bulk
+build costs a few array operations per call, not per demand.
 
 String-valued demand attributes (workload class, paradigm, filesystem)
 are interned into small name tables with integer codes per demand, so
@@ -32,7 +38,7 @@ through the run-service pool exactly like object workloads do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +53,7 @@ from repro.sim.demands import (
 from repro.sim.workload import SimWorkload
 from repro.telemetry.spans import span
 
-__all__ = ["PackedWorkload", "PackedBuilder", "pack_workload"]
+__all__ = ["PackedWorkload", "PackedBuilder", "RoundPart", "pack_workload"]
 
 #: Demand-kind codes (the ``kinds`` column; shared with the engine).
 KIND_COMPUTE, KIND_IO, KIND_MEM, KIND_NET, KIND_SLEEP = range(5)
@@ -55,6 +61,7 @@ KIND_COMPUTE, KIND_IO, KIND_MEM, KIND_NET, KIND_SLEEP = range(5)
 _EMPTY_IDX = np.zeros(0, dtype=np.intp)
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_F64 = np.zeros(0, dtype=np.float64)
+_INF = float("inf")
 
 
 @dataclass
@@ -175,6 +182,141 @@ class _Interner:
         return np.asarray([self(name) for name in other], dtype=np.intp)
 
 
+class _Columns:
+    """One demand kind's columns under construction.
+
+    Bulk appends land as array chunks; scalar appends go to a cheap row
+    tail (one tuple per demand) that becomes a chunk when a bulk append
+    follows or the workload is built.  Chunks hold arrays no caller
+    keeps, so a lone chunk is the finished column as it stands.
+    """
+
+    __slots__ = ("dtypes", "chunks", "rows")
+
+    def __init__(self, dtypes: tuple[np.dtype, ...]) -> None:
+        self.dtypes = dtypes
+        self.chunks: list[tuple[np.ndarray, ...]] = []
+        self.rows: list[tuple] = []
+
+    def add(self, chunk: tuple[np.ndarray, ...]) -> None:
+        self._flush()
+        self.chunks.append(chunk)
+
+    def _flush(self) -> None:
+        if self.rows:
+            self.chunks.append(tuple(
+                np.array(column, dtype=dtype)
+                for column, dtype in zip(zip(*self.rows), self.dtypes)
+            ))
+            self.rows.clear()
+
+    def arrays(self) -> tuple[np.ndarray, ...] | None:
+        """Every column as one array (one concatenate each); None if empty."""
+        self._flush()
+        if len(self.chunks) <= 1:
+            return self.chunks[0] if self.chunks else None
+        return tuple(
+            np.concatenate(parts, dtype=dtype)
+            for parts, dtype in zip(zip(*self.chunks), self.dtypes)
+        )
+
+
+_F64, _I64, _IDX = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.intp)
+
+#: Value rules of the bulk appends: (predicate over a column, wording).
+#: Comparisons are False for NaN, so a rule rejects NaN unless it says
+#: otherwise; none of them warns on NaN input.
+_FINITE_NONNEG = (lambda a: (a >= 0) & (a < np.inf), "finite and non-negative")
+_FINITE = (np.isfinite, "finite")
+_NONNEG = (lambda a: a >= 0, "non-negative")
+_NONNEG_OR_NAN = (lambda a: ~(a < 0), "non-negative")
+_POSITIVE = (lambda a: a > 0, "positive")
+
+
+class _Kind(NamedTuple):
+    """Bulk-append schema of one demand kind."""
+
+    code: int
+    pos: str
+    #: (column, field, dtype or name-table field, default, rule); a
+    #: ``None`` default is stored as NaN ("unset") and skips the rule.
+    columns: tuple[tuple[str, str, Any, Any, Any], ...]
+
+
+_KINDS: dict[str, _Kind] = {
+    "compute": _Kind(KIND_COMPUTE, "c_pos", (
+        ("c_instr", "instructions", _F64, 0.0, _FINITE_NONNEG),
+        ("c_cc", "calibrated_cycles", _F64, None, _FINITE),
+        ("c_class", "workload_class", "class_names", "app.generic", None),
+        ("c_fpi", "flops_per_instruction", _F64, 0.0,
+         (lambda a: (a >= 0) & (a <= 1), "in [0, 1]")),
+        ("c_threads", "threads", _I64, 1, (lambda a: a >= 1, ">= 1")),
+        ("c_paradigm", "paradigm", "paradigm_names", "serial", None),
+        ("c_sr", "stall_ratio", _F64, None, _NONNEG_OR_NAN),
+    )),
+    "io": _Kind(KIND_IO, "i_pos", (
+        ("i_read", "bytes_read", _I64, 0, _NONNEG),
+        ("i_written", "bytes_written", _I64, 0, _NONNEG),
+        ("i_block", "block_size", _I64, 1 << 20, _POSITIVE),
+        ("i_fs", "filesystem", "fs_names", "local", None),
+    )),
+    "memory": _Kind(KIND_MEM, "m_pos", (
+        ("m_alloc", "allocate", _I64, 0, _NONNEG),
+        ("m_free", "free", _I64, 0, _NONNEG),
+        ("m_block", "block_size", _I64, 1 << 20, _POSITIVE),
+    )),
+    "network": _Kind(KIND_NET, "net_pos", (
+        ("net_sent", "bytes_sent", _I64, 0, _NONNEG),
+        ("net_recv", "bytes_received", _I64, 0, _NONNEG),
+        ("net_block", "block_size", _I64, 64 << 10, _POSITIVE),
+    )),
+    "sleep": _Kind(KIND_SLEEP, "s_pos", (
+        ("s_secs", "seconds", _F64, 0.0, _FINITE_NONNEG),
+    )),
+}
+
+
+#: Per kind, the dtypes of a ``_Columns`` chunk: positions, then columns.
+_CHUNK_DTYPES = {
+    kind: (_IDX,) + tuple(
+        _IDX if isinstance(dtype, str) else dtype for _, _, dtype, _, _ in spec.columns
+    )
+    for kind, spec in _KINDS.items()
+}
+
+
+def _cast(array: np.ndarray, dtype: np.dtype, field: str) -> np.ndarray:
+    """``array`` as ``dtype``, refusing floats that would wrap in int64."""
+    if dtype.kind == "i" and array.dtype.kind == "f":
+        if not (np.abs(array) < 2.0 ** 63).all():
+            raise WorkloadError(f"{field} must be finite and fit in int64")
+    return array.astype(dtype, copy=False)
+
+
+def _per_round(value: Any, count: int) -> np.ndarray:
+    """``value`` as a length-``count`` array (a single value repeats)."""
+    array = np.asarray(value)
+    if array.shape == (count,):
+        return array
+    if array.size == 1:
+        return array.reshape(()).repeat(count)
+    raise WorkloadError(f"expected {count} values, got shape {array.shape}")
+
+
+class RoundPart(NamedTuple):
+    """One slot of the pattern :meth:`PackedBuilder.rounds` repeats.
+
+    ``kind`` names a scalar builder method (``"compute"``, ``"io"``, ...)
+    and ``fields`` its keyword arguments: a scalar repeats, an array
+    gives one value per round.  ``where`` is an optional per-round mask;
+    the part is skipped in rounds where it is False.
+    """
+
+    kind: str
+    fields: dict[str, Any]
+    where: Any = None
+
+
 class PackedBuilder:
     """Incremental constructor of :class:`PackedWorkload` columns.
 
@@ -191,7 +333,8 @@ class PackedBuilder:
     symmetry with ``SimWorkload`` but not stored).  Appending a demand
     with no open stream opens one implicitly (and a phase if needed).
     The ``*_many`` methods append whole column chunks to the current
-    stream in one call.
+    stream in one call, and :meth:`rounds` appends a repeated demand
+    pattern the same way.
     """
 
     def __init__(
@@ -205,7 +348,6 @@ class PackedBuilder:
         self.metadata = dict(metadata) if metadata else {}
         self._n = 0
         self._n_phases = 0
-        self._kinds: list[int] = []
         self._stream_phase: list[int] = []
         self._stream_first: list[int] = []
         self._stream_end: list[int] = []
@@ -213,13 +355,17 @@ class PackedBuilder:
         self._classes = _Interner()
         self._paradigms = _Interner()
         self._fs = _Interner()
-        self._c: dict[str, list] = {k: [] for k in (
-            "pos", "instr", "cc", "cls", "fpi", "threads", "paradigm", "sr")}
-        self._i: dict[str, list] = {k: [] for k in (
-            "pos", "read", "written", "block", "fs")}
-        self._m: dict[str, list] = {k: [] for k in ("pos", "alloc", "free", "block")}
-        self._net: dict[str, list] = {k: [] for k in ("pos", "sent", "recv", "block")}
-        self._s: dict[str, list] = {k: [] for k in ("pos", "secs")}
+        self._tables = {
+            "class_names": self._classes,
+            "paradigm_names": self._paradigms,
+            "fs_names": self._fs,
+        }
+        self._columns = {kind: _Columns(dtypes) for kind, dtypes in _CHUNK_DTYPES.items()}
+        self._c = self._columns["compute"].rows
+        self._i = self._columns["io"].rows
+        self._m = self._columns["memory"].rows
+        self._net = self._columns["network"].rows
+        self._s = self._columns["sleep"].rows
 
     # -- segmentation -------------------------------------------------------
 
@@ -274,24 +420,26 @@ class PackedBuilder:
         stall_ratio: float | None = None,
     ) -> "PackedBuilder":
         """Append one compute demand (``ComputeDemand`` semantics)."""
-        if instructions < 0:
-            raise WorkloadError("instructions must be non-negative")
+        if not 0.0 <= instructions < _INF:
+            raise WorkloadError("instructions must be finite and non-negative")
         if threads < 1:
             raise WorkloadError("threads must be >= 1")
         if not (0.0 <= flops_per_instruction <= 1.0):
             raise WorkloadError("flops_per_instruction must be in [0, 1]")
+        if calibrated_cycles is not None and not -_INF < calibrated_cycles < _INF:
+            raise WorkloadError("calibrated_cycles must be finite")
         if stall_ratio is not None and stall_ratio < 0:
             raise WorkloadError("stall_ratio must be non-negative")
-        c = self._c
-        c["pos"].append(self._slot())
-        self._kinds.append(KIND_COMPUTE)
-        c["instr"].append(float(instructions))
-        c["cc"].append(np.nan if calibrated_cycles is None else float(calibrated_cycles))
-        c["cls"].append(self._classes(workload_class))
-        c["fpi"].append(float(flops_per_instruction))
-        c["threads"].append(int(threads))
-        c["paradigm"].append(self._paradigms(paradigm))
-        c["sr"].append(np.nan if stall_ratio is None else float(stall_ratio))
+        self._c.append((
+            self._slot(),
+            float(instructions),
+            np.nan if calibrated_cycles is None else float(calibrated_cycles),
+            self._classes(workload_class),
+            float(flops_per_instruction),
+            int(threads),
+            self._paradigms(paradigm),
+            np.nan if stall_ratio is None else float(stall_ratio),
+        ))
         return self
 
     def io(
@@ -306,13 +454,10 @@ class PackedBuilder:
             raise WorkloadError("I/O byte counts must be non-negative")
         if block_size <= 0:
             raise WorkloadError("block size must be positive")
-        i = self._i
-        i["pos"].append(self._slot())
-        self._kinds.append(KIND_IO)
-        i["read"].append(int(bytes_read))
-        i["written"].append(int(bytes_written))
-        i["block"].append(int(block_size))
-        i["fs"].append(self._fs(filesystem))
+        self._i.append((
+            self._slot(), int(bytes_read), int(bytes_written), int(block_size),
+            self._fs(filesystem),
+        ))
         return self
 
     def memory(
@@ -323,12 +468,7 @@ class PackedBuilder:
             raise WorkloadError("memory byte counts must be non-negative")
         if block_size <= 0:
             raise WorkloadError("block size must be positive")
-        m = self._m
-        m["pos"].append(self._slot())
-        self._kinds.append(KIND_MEM)
-        m["alloc"].append(int(allocate))
-        m["free"].append(int(free))
-        m["block"].append(int(block_size))
+        self._m.append((self._slot(), int(allocate), int(free), int(block_size)))
         return self
 
     def network(
@@ -339,178 +479,143 @@ class PackedBuilder:
             raise WorkloadError("network byte counts must be non-negative")
         if block_size <= 0:
             raise WorkloadError("block size must be positive")
-        n = self._net
-        n["pos"].append(self._slot())
-        self._kinds.append(KIND_NET)
-        n["sent"].append(int(bytes_sent))
-        n["recv"].append(int(bytes_received))
-        n["block"].append(int(block_size))
+        self._net.append(
+            (self._slot(), int(bytes_sent), int(bytes_received), int(block_size))
+        )
         return self
 
     def sleep(self, seconds: float) -> "PackedBuilder":
         """Append one sleep demand (``SleepDemand`` semantics)."""
-        if seconds < 0:
-            raise WorkloadError("sleep duration must be non-negative")
-        s = self._s
-        s["pos"].append(self._slot())
-        self._kinds.append(KIND_SLEEP)
-        s["secs"].append(float(seconds))
+        if not 0.0 <= seconds < _INF:
+            raise WorkloadError("sleep duration must be finite and non-negative")
+        self._s.append((self._slot(), float(seconds)))
         return self
 
     # -- bulk appends -------------------------------------------------------
+    #
+    # Every bulk path runs through ``_validate`` (broadcast, rules) and
+    # ``_resolve`` (name interning) into one array chunk per kind.
 
-    def compute_many(
-        self,
-        instructions: object,
-        workload_class: str = "app.generic",
-        flops_per_instruction: object = 0.0,
-        threads: object = 1,
-        paradigm: str = "serial",
-        calibrated_cycles: object = None,
-        stall_ratio: object = None,
-    ) -> "PackedBuilder":
-        """Append a chunk of compute demands from arrays/scalars.
+    def compute_many(self, instructions: object, **fields: Any) -> "PackedBuilder":
+        """Append a chunk of compute demands.
 
-        ``instructions`` fixes the chunk length; the remaining numeric
-        arguments broadcast (scalars repeat).  ``workload_class`` and
-        ``paradigm`` are single names for the whole chunk.
+        ``instructions`` and the other fields of :meth:`compute` may be
+        arrays or scalars; they broadcast against each other like NumPy.
+        ``workload_class`` and ``paradigm`` name the whole chunk, and a
+        NaN ``stall_ratio`` means "class default", like ``None``.
         """
-        instr = np.asarray(instructions, dtype=float).ravel()
-        count = instr.size
-        if count == 0:
+        return self._append("compute", None, dict(fields, instructions=instructions))
+
+    def io_many(self, *, count: int | None = None, **fields: Any) -> "PackedBuilder":
+        """Append a chunk of I/O demands (the fields of :meth:`io`, as
+        arrays or scalars broadcast like NumPy; ``count`` fixes the length)."""
+        return self._append("io", count, fields)
+
+    def memory_many(self, *, count: int | None = None, **fields: Any) -> "PackedBuilder":
+        """Append a chunk of memory demands (fields of :meth:`memory`, as in
+        :meth:`io_many`)."""
+        return self._append("memory", count, fields)
+
+    def network_many(self, *, count: int | None = None, **fields: Any) -> "PackedBuilder":
+        """Append a chunk of network demands (fields of :meth:`network`, as
+        in :meth:`io_many`)."""
+        return self._append("network", count, fields)
+
+    def rounds(self, count: int, *parts: RoundPart) -> "PackedBuilder":
+        """Append ``count`` rounds of a fixed demand pattern in one call.
+
+        Round ``r`` appends one demand per part, in part order, skipping
+        the parts whose ``where`` mask is False at ``r``; the columns equal
+        those of that scalar loop.  For example, ``n`` compute chunks each
+        followed by an I/O demand when that chunk has bytes to write::
+
+            b.rounds(n, RoundPart("compute", {"instructions": per_chunk}),
+                     RoundPart("io", {"bytes_written": sizes}, sizes > 0))
+        """
+        if count < 0:
+            raise WorkloadError("rounds count must be non-negative")
+        mask = np.ones((count, len(parts)), dtype=bool)
+        for j, part in enumerate(parts):
+            if part.where is not None:
+                mask[:, j] = part.where
+        offsets = (np.cumsum(mask) - 1).reshape(mask.shape)
+        placed = []
+        for j, part in enumerate(parts):
+            keep = mask[:, j]
+            fields = part.fields if part.where is None else {
+                field: value if isinstance(value, str) or np.ndim(value) == 0
+                else _per_round(value, count)[keep]
+                for field, value in part.fields.items()
+            }
+            size, values = self._validate(part.kind, int(keep.sum()), fields)
+            if size:
+                placed.append((offsets[keep, j], part.kind, values))
+        if not placed:
             return self
-        if instr.min() < 0:
-            raise WorkloadError("instructions must be non-negative")
-        fpi = np.broadcast_to(np.asarray(flops_per_instruction, dtype=float), (count,))
-        if fpi.min() < 0 or fpi.max() > 1.0:
-            raise WorkloadError("flops_per_instruction must be in [0, 1]")
-        thr = np.broadcast_to(np.asarray(threads, dtype=np.int64), (count,))
-        if thr.min() < 1:
-            raise WorkloadError("threads must be >= 1")
-        if calibrated_cycles is None:
-            cc = np.full(count, np.nan)
-        else:
-            cc = np.broadcast_to(np.asarray(calibrated_cycles, dtype=float), (count,))
-        if stall_ratio is None:
-            sr = np.full(count, np.nan)
-        else:
-            sr = np.broadcast_to(np.asarray(stall_ratio, dtype=float), (count,))
-            if np.nanmin(sr) < 0:
-                raise WorkloadError("stall_ratio must be non-negative")
-        first = self._bulk_slots(count)
-        c = self._c
-        c["pos"].extend(range(first, first + count))
-        self._kinds.extend([KIND_COMPUTE] * count)
-        c["instr"].extend(instr.tolist())
-        c["cc"].extend(np.asarray(cc).tolist())
-        c["cls"].extend([self._classes(workload_class)] * count)
-        c["fpi"].extend(np.asarray(fpi).tolist())
-        c["threads"].extend(np.asarray(thr).tolist())
-        c["paradigm"].extend([self._paradigms(paradigm)] * count)
-        c["sr"].extend(np.asarray(sr).tolist())
+        first = self._bulk_slots(int(offsets[-1, -1]) + 1)
+        by_kind: dict[str, list[tuple[np.ndarray, ...]]] = {}
+        # Intern names in the order the scalar loop would first meet them.
+        for offset, kind, values in sorted(placed, key=lambda item: item[0][0]):
+            by_kind.setdefault(kind, []).append(
+                self._resolve(kind, offset + first, values)
+            )
+        for kind, chunks in by_kind.items():
+            if len(chunks) > 1:  # parts of one kind interleave by position
+                merged = [np.concatenate(column) for column in zip(*chunks)]
+                order = np.argsort(merged[0])
+                chunks = [tuple(column[order] for column in merged)]
+            self._columns[kind].add(chunks[0])
         return self
 
-    def io_many(
-        self,
-        bytes_read: object = 0,
-        bytes_written: object = 0,
-        block_size: object = 1 << 20,
-        filesystem: str = "local",
-        count: int | None = None,
-    ) -> "PackedBuilder":
-        """Append a chunk of I/O demands (arrays broadcast like NumPy)."""
-        read = np.asarray(bytes_read, dtype=np.int64).ravel()
-        written = np.asarray(bytes_written, dtype=np.int64).ravel()
-        if count is None:
-            count = max(read.size, written.size)
-        if count == 0:
-            return self
-        read = np.broadcast_to(read if read.size > 1 else read.reshape(-1)[:1], (count,))
-        written = np.broadcast_to(
-            written if written.size > 1 else written.reshape(-1)[:1], (count,)
-        )
-        block = np.broadcast_to(np.asarray(block_size, dtype=np.int64), (count,))
-        if read.min() < 0 or written.min() < 0:
-            raise WorkloadError("I/O byte counts must be non-negative")
-        if block.min() <= 0:
-            raise WorkloadError("block size must be positive")
-        first = self._bulk_slots(count)
-        i = self._i
-        i["pos"].extend(range(first, first + count))
-        self._kinds.extend([KIND_IO] * count)
-        i["read"].extend(np.asarray(read).tolist())
-        i["written"].extend(np.asarray(written).tolist())
-        i["block"].extend(np.asarray(block).tolist())
-        i["fs"].extend([self._fs(filesystem)] * count)
+    def _append(self, kind: str, count: int | None, fields: dict) -> "PackedBuilder":
+        size, values = self._validate(kind, count, fields)
+        if size:
+            first = self._bulk_slots(size)
+            pos = np.arange(first, first + size, dtype=np.intp)
+            self._columns[kind].add(self._resolve(kind, pos, values))
         return self
 
-    def memory_many(
-        self,
-        allocate: object = 0,
-        free: object = 0,
-        block_size: object = 1 << 20,
-        count: int | None = None,
-    ) -> "PackedBuilder":
-        """Append a chunk of memory demands (arrays broadcast like NumPy)."""
-        alloc = np.asarray(allocate, dtype=np.int64).ravel()
-        freed = np.asarray(free, dtype=np.int64).ravel()
+    def _validate(self, kind: str, count: int | None, fields: dict) -> tuple[int, list]:
+        """The chunk length (``count``, or the arguments' broadcast length)
+        and per schema column a checked array, or the name of a name field.
+        Nothing is interned or appended, so a rejected call leaves no trace."""
+        spec = _KINDS.get(kind)
+        if spec is None:
+            raise WorkloadError(f"unknown demand kind {kind!r}")
+        unknown = set(fields) - {field for _, field, _, _, _ in spec.columns}
+        if unknown:
+            raise WorkloadError(f"unknown {kind} fields: {sorted(unknown)}")
+        values: list = []
+        for _, field, dtype, default, _ in spec.columns:
+            value = fields.get(field, default)
+            if isinstance(dtype, str):
+                value = str(value)
+            elif value is not None:
+                # A private flat copy: callers may reuse their arrays.
+                value = np.array(value).ravel()
+            values.append(value)
         if count is None:
-            count = max(alloc.size, freed.size)
-        if count == 0:
-            return self
-        alloc = np.broadcast_to(
-            alloc if alloc.size > 1 else alloc.reshape(-1)[:1], (count,)
-        )
-        freed = np.broadcast_to(
-            freed if freed.size > 1 else freed.reshape(-1)[:1], (count,)
-        )
-        block = np.broadcast_to(np.asarray(block_size, dtype=np.int64), (count,))
-        if alloc.min() < 0 or freed.min() < 0:
-            raise WorkloadError("memory byte counts must be non-negative")
-        if block.min() <= 0:
-            raise WorkloadError("block size must be positive")
-        first = self._bulk_slots(count)
-        m = self._m
-        m["pos"].extend(range(first, first + count))
-        self._kinds.extend([KIND_MEM] * count)
-        m["alloc"].extend(np.asarray(alloc).tolist())
-        m["free"].extend(np.asarray(freed).tolist())
-        m["block"].extend(np.asarray(block).tolist())
-        return self
+            count = np.broadcast_shapes(
+                *(value.shape for value in values if isinstance(value, np.ndarray))
+            )[0]
+        for index, (_, field, dtype, _, rule) in enumerate(spec.columns):
+            value = values[index]
+            if value is None:
+                values[index] = np.full(count, np.nan)
+            elif not isinstance(dtype, str):
+                # Rules see the values as given, before any int truncation.
+                if count and rule is not None and not rule[0](value).all():
+                    raise WorkloadError(f"{field} must be {rule[1]}")
+                values[index] = _per_round(_cast(value, dtype, field), count)
+        return count, values
 
-    def network_many(
-        self,
-        bytes_sent: object = 0,
-        bytes_received: object = 0,
-        block_size: object = 64 << 10,
-        count: int | None = None,
-    ) -> "PackedBuilder":
-        """Append a chunk of network demands (arrays broadcast like NumPy)."""
-        sent = np.asarray(bytes_sent, dtype=np.int64).ravel()
-        recv = np.asarray(bytes_received, dtype=np.int64).ravel()
-        if count is None:
-            count = max(sent.size, recv.size)
-        if count == 0:
-            return self
-        sent = np.broadcast_to(
-            sent if sent.size > 1 else sent.reshape(-1)[:1], (count,)
+    def _resolve(self, kind: str, pos: np.ndarray, values: list) -> tuple:
+        """One ``_Columns`` chunk: positions, then columns with names interned."""
+        return (pos,) + tuple(
+            np.intp(self._tables[dtype](value)).repeat(pos.size)
+            if isinstance(dtype, str) else value
+            for value, (_, _, dtype, _, _) in zip(values, _KINDS[kind].columns)
         )
-        recv = np.broadcast_to(
-            recv if recv.size > 1 else recv.reshape(-1)[:1], (count,)
-        )
-        block = np.broadcast_to(np.asarray(block_size, dtype=np.int64), (count,))
-        if sent.min() < 0 or recv.min() < 0:
-            raise WorkloadError("network byte counts must be non-negative")
-        if block.min() <= 0:
-            raise WorkloadError("block size must be positive")
-        first = self._bulk_slots(count)
-        n = self._net
-        n["pos"].extend(range(first, first + count))
-        self._kinds.extend([KIND_NET] * count)
-        n["sent"].extend(np.asarray(sent).tolist())
-        n["recv"].extend(np.asarray(recv).tolist())
-        n["block"].extend(np.asarray(block).tolist())
-        return self
 
     # -- composition --------------------------------------------------------
 
@@ -521,47 +626,22 @@ class PackedBuilder:
         inner workload's phase/stream structure is discarded and its
         demands run serially, in global demand order, as part of the
         current stream.  Name tables are re-interned into this builder.
+        The columns were checked when ``inner`` was built, so they are
+        appended as array chunks without a second check.
         """
         if inner.n == 0:
             return self
         first = self._bulk_slots(inner.n)
-        self._kinds.extend(inner.kinds.tolist())
-        if inner.c_pos.size:
-            cls_map = self._classes.remap(inner.class_names)
-            par_map = self._paradigms.remap(inner.paradigm_names)
-            c = self._c
-            c["pos"].extend((inner.c_pos + first).tolist())
-            c["instr"].extend(inner.c_instr.tolist())
-            c["cc"].extend(inner.c_cc.tolist())
-            c["cls"].extend(cls_map[inner.c_class].tolist())
-            c["fpi"].extend(inner.c_fpi.tolist())
-            c["threads"].extend(inner.c_threads.tolist())
-            c["paradigm"].extend(par_map[inner.c_paradigm].tolist())
-            c["sr"].extend(inner.c_sr.tolist())
-        if inner.i_pos.size:
-            fs_map = self._fs.remap(inner.fs_names)
-            i = self._i
-            i["pos"].extend((inner.i_pos + first).tolist())
-            i["read"].extend(inner.i_read.tolist())
-            i["written"].extend(inner.i_written.tolist())
-            i["block"].extend(inner.i_block.tolist())
-            i["fs"].extend(fs_map[inner.i_fs].tolist())
-        if inner.m_pos.size:
-            m = self._m
-            m["pos"].extend((inner.m_pos + first).tolist())
-            m["alloc"].extend(inner.m_alloc.tolist())
-            m["free"].extend(inner.m_free.tolist())
-            m["block"].extend(inner.m_block.tolist())
-        if inner.net_pos.size:
-            net = self._net
-            net["pos"].extend((inner.net_pos + first).tolist())
-            net["sent"].extend(inner.net_sent.tolist())
-            net["recv"].extend(inner.net_recv.tolist())
-            net["block"].extend(inner.net_block.tolist())
-        if inner.s_pos.size:
-            s = self._s
-            s["pos"].extend((inner.s_pos + first).tolist())
-            s["secs"].extend(inner.s_secs.tolist())
+        for kind, spec in _KINDS.items():
+            pos = getattr(inner, spec.pos)
+            if pos.size:
+                self._columns[kind].add((pos + first,) + tuple(
+                    self._tables[dtype].remap(getattr(inner, dtype))[
+                        getattr(inner, column)
+                    ]
+                    if isinstance(dtype, str) else getattr(inner, column).copy()
+                    for column, _, dtype, _, _ in spec.columns
+                ))
         return self
 
     # -- finalisation -------------------------------------------------------
@@ -572,45 +652,37 @@ class PackedBuilder:
         return self._n
 
     def build(self) -> PackedWorkload:
-        """Freeze the columns into an immutable-by-convention workload."""
+        """Freeze the columns into an immutable-by-convention workload.
+
+        Each column is one concatenate over its chunks; the ``kinds``
+        column is scattered from the per-kind positions.  Kinds with no
+        demands keep the workload's empty defaults.
+        """
         self._close_stream()
-        c, i, m, net, s = self._c, self._i, self._m, self._net, self._s
+        columns: dict[str, np.ndarray] = {}
+        kinds = np.empty(self._n, dtype=np.int64)
+        for kind, spec in _KINDS.items():
+            chunk = self._columns[kind].arrays()
+            if chunk is None:
+                continue
+            pos, *arrays = chunk
+            kinds[pos] = spec.code
+            columns[spec.pos] = pos
+            columns.update(zip((column for column, *_ in spec.columns), arrays))
         return PackedWorkload(
             name=self.name,
             base_rss=self.base_rss,
             metadata=self.metadata,
             n=self._n,
             n_phases=self._n_phases,
-            kinds=np.asarray(self._kinds, dtype=np.int64),
+            kinds=kinds,
             stream_phase=np.asarray(self._stream_phase, dtype=np.intp),
             stream_first=np.asarray(self._stream_first, dtype=np.intp),
             stream_end=np.asarray(self._stream_end, dtype=np.intp),
             class_names=self._classes.names(),
             paradigm_names=self._paradigms.names(),
             fs_names=self._fs.names(),
-            c_pos=np.asarray(c["pos"], dtype=np.intp),
-            c_instr=np.asarray(c["instr"], dtype=np.float64),
-            c_cc=np.asarray(c["cc"], dtype=np.float64),
-            c_class=np.asarray(c["cls"], dtype=np.intp),
-            c_fpi=np.asarray(c["fpi"], dtype=np.float64),
-            c_threads=np.asarray(c["threads"], dtype=np.int64),
-            c_paradigm=np.asarray(c["paradigm"], dtype=np.intp),
-            c_sr=np.asarray(c["sr"], dtype=np.float64),
-            i_pos=np.asarray(i["pos"], dtype=np.intp),
-            i_read=np.asarray(i["read"], dtype=np.int64),
-            i_written=np.asarray(i["written"], dtype=np.int64),
-            i_block=np.asarray(i["block"], dtype=np.int64),
-            i_fs=np.asarray(i["fs"], dtype=np.intp),
-            m_pos=np.asarray(m["pos"], dtype=np.intp),
-            m_alloc=np.asarray(m["alloc"], dtype=np.int64),
-            m_free=np.asarray(m["free"], dtype=np.int64),
-            m_block=np.asarray(m["block"], dtype=np.int64),
-            net_pos=np.asarray(net["pos"], dtype=np.intp),
-            net_sent=np.asarray(net["sent"], dtype=np.int64),
-            net_recv=np.asarray(net["recv"], dtype=np.int64),
-            net_block=np.asarray(net["block"], dtype=np.int64),
-            s_pos=np.asarray(s["pos"], dtype=np.intp),
-            s_secs=np.asarray(s["secs"], dtype=np.float64),
+            **columns,
         )
 
 

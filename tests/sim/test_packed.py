@@ -14,6 +14,7 @@ builder in the tree to the compiler.
 from __future__ import annotations
 
 import json
+import math
 import pickle
 
 import numpy as np
@@ -30,6 +31,7 @@ from gen_packed_fixtures import (
 )
 
 from repro.apps import EnsembleApp, GromacsModel, SleeperApp, SyntheticApp
+from repro.apps.base import chunk_sizes
 from repro.apps.ensemble import EnsembleStage
 from repro.apps.skeleton import chain, fan_out_fan_in
 from repro.atoms.base import AtomWork
@@ -47,7 +49,7 @@ from repro.sim.demands import (
 from repro.sim.engine import Engine
 from repro.sim.machines import get_machine
 from repro.sim.noise import NoiseModel
-from repro.sim.packed import PackedBuilder, PackedWorkload, pack_workload
+from repro.sim.packed import PackedBuilder, PackedWorkload, RoundPart, pack_workload
 from repro.sim.workload import Phase, SimWorkload, Stream
 
 
@@ -203,6 +205,18 @@ APP_CASES = [
         instructions=3e8, bytes_written=1 << 20, chunks=5)),
     ("synthetic-empty-overlap", lambda: SyntheticApp(overlap_io=True, chunks=3)),
     ("gromacs-threads", lambda: GromacsModel(iterations=20_000, threads=4)),
+    # 4,100 output bytes over 5,000 chunks: most chunks write nothing.
+    ("gromacs-sparse-io", lambda: GromacsModel(iterations=1, chunks=5000)),
+    ("gromacs-benchmark", lambda: GromacsModel(iterations=10**6, chunks=10**5)),
+    ("synthetic-tiny-serial", lambda: SyntheticApp(
+        instructions=0, bytes_written=3, chunks=8)),
+    ("synthetic-tiny-overlap", lambda: SyntheticApp(
+        instructions=0, bytes_written=3, chunks=8, overlap_io=True)),
+    # bytes_written * chunks is 2**66: the chunk boundaries leave int64.
+    ("synthetic-int64-overflow", lambda: SyntheticApp(
+        instructions=1e9, bytes_written=(1 << 62) + 12345, chunks=16)),
+    ("synthetic-float-bytes", lambda: SyntheticApp(
+        instructions=1e9, bytes_read=1e6 + 0.5, bytes_written=3.7e15, chunks=13)),
     ("sleeper", lambda: SleeperApp(sleep_seconds=1.5)),
     ("ensemble", lambda: EnsembleApp(stages=(
         EnsembleStage(tasks=4, instructions=1e9, bytes_written=4096),
@@ -283,6 +297,22 @@ def test_backend_prefers_build_packed():
     assert probe.packed_calls == 1
 
 
+def test_chunk_sizes_match_the_python_loop():
+    for total, chunks in [(0, 4), (3, 8), (4100, 5000), (10**6, 7), (-5, 3),
+                          ((1 << 62) + 12345, 16), ((1 << 63) - 1, 1000)]:
+        loop = [total * (k + 1) // chunks - total * k // chunks for k in range(chunks)]
+        sizes = chunk_sizes(total, chunks)
+        assert sizes.dtype == np.int64
+        assert sizes.tolist() == loop, (total, chunks)
+
+
+def test_chunk_sizes_raise_instead_of_wrapping():
+    with pytest.raises(WorkloadError):
+        chunk_sizes(1 << 70, 2)
+    with pytest.raises(WorkloadError):
+        SyntheticApp(bytes_written=1 << 70, chunks=2).build_packed(get_machine("thinkie"))
+
+
 # -- builder validation ------------------------------------------------------
 
 
@@ -302,6 +332,74 @@ def test_builder_rejects_invalid_demands():
         b.network(bytes_sent=-1)
     with pytest.raises(WorkloadError):
         b.sleep(-0.1)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+def test_non_finite_demand_values_are_rejected(value):
+    with pytest.raises(ValueError):
+        ComputeDemand(instructions=value)
+    with pytest.raises(ValueError):
+        ComputeDemand(instructions=1.0, calibrated_cycles=value)
+    with pytest.raises(ValueError):
+        SleepDemand(value)
+    b = PackedBuilder("non-finite")
+    with pytest.raises(WorkloadError):
+        b.compute(instructions=value)
+    with pytest.raises(WorkloadError):
+        b.compute(instructions=0.0, calibrated_cycles=value)
+    with pytest.raises(WorkloadError):
+        b.sleep(value)
+    with pytest.raises(WorkloadError):
+        b.compute_many([1.0, value])
+    with pytest.raises(WorkloadError):
+        b.compute_many([0.0, 0.0], calibrated_cycles=[1.0, value])
+    with pytest.raises(WorkloadError):
+        b.rounds(2, RoundPart("sleep", {"seconds": [0.5, value]}))
+    with pytest.raises(WorkloadError):
+        b.io_many(bytes_read=[1.0, value])
+    # Nothing was appended by the rejected calls.
+    assert b.n_demands == 0
+    assert b.build().class_names == ()
+
+
+def test_nan_instructions_no_longer_run_to_an_empty_record():
+    b = PackedBuilder("nan-run")
+    with pytest.raises(WorkloadError):
+        b.compute(instructions=float("nan"))
+    b.compute(instructions=1e9)
+    record = Engine(get_machine("thinkie"), NoiseModel.silent()).run(b.build())
+    assert record.duration > 0
+    assert all(
+        np.isfinite(series.values).all() for series in record.counters.values()
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_bulk_and_scalar_validation_agree():
+    b = PackedBuilder("agree")
+    with pytest.raises(WorkloadError):
+        b.compute(flops_per_instruction=math.nan)
+    with pytest.raises(WorkloadError):
+        b.compute_many([1.0, 2.0], flops_per_instruction=[0.5, math.nan])
+    with pytest.raises(WorkloadError):
+        b.compute_many([1.0], stall_ratio=[-0.5])
+    # Rules see the values as given: -0.3 bytes is not truncated to 0.
+    with pytest.raises(WorkloadError):
+        b.io(bytes_read=-0.3)
+    with pytest.raises(WorkloadError):
+        b.io_many(bytes_read=[1.0, -0.3])
+    # NaN is the stall-ratio "class default" encoding: an all-NaN array is
+    # accepted without warnings and equals leaving the argument unset.
+    bulk = PackedBuilder("sr").compute_many(
+        [1e6, 2e6], stall_ratio=np.full(2, np.nan)
+    ).build()
+    scalar = PackedBuilder("sr").compute(instructions=1e6).compute(
+        instructions=2e6
+    ).build()
+    assert_packed_equal(bulk, scalar)
 
 
 def test_bulk_builders_match_scalar_appends():
@@ -334,6 +432,105 @@ def test_bulk_builders_match_scalar_appends():
         scalar.network(bytes_sent=int(s), bytes_received=32 << 10)
 
     assert_packed_equal(bulk.build(), scalar.build())
+
+
+def test_bulk_appends_copy_their_arguments():
+    instr = np.array([1e6, 2e6])
+    b = PackedBuilder("copy").compute_many(instr)
+    instr[:] = 0.0
+    assert b.build().c_instr.tolist() == [1e6, 2e6]
+
+
+def _rounds_pattern(sizes):
+    return (
+        RoundPart("compute", {"instructions": 1e6, "workload_class": "app.md"},
+                  where=sizes % 3 != 0),
+        RoundPart("io", {"bytes_written": sizes, "filesystem": "lustre"},
+                  where=sizes > 0),
+        RoundPart("compute", {"instructions": sizes * 10.0,
+                              "workload_class": "app.startup", "threads": 2}),
+        RoundPart("sleep", {"seconds": 0.25}, where=sizes == 2),
+    )
+
+
+def _scalar_rounds(b, count, parts):
+    for r in range(count):
+        for part in parts:
+            if part.where is not None and not part.where[r]:
+                continue
+            getattr(b, part.kind)(**{
+                name: value[r] if isinstance(value, (list, np.ndarray)) else value
+                for name, value in part.fields.items()
+            })
+
+
+def test_rounds_match_the_scalar_loop():
+    sizes = np.array([0, 2, 5, 0, 3, 2, 7])
+    parts = _rounds_pattern(sizes)
+    rounds = PackedBuilder("rounds").rounds(len(sizes), *parts).build()
+    scalar = PackedBuilder("rounds")
+    _scalar_rounds(scalar, len(sizes), parts)
+    # Round 0 skips the first compute part, so "app.startup" is met first.
+    assert rounds.class_names == ("app.startup", "app.md")
+    assert_packed_equal(rounds, scalar.build())
+
+
+def test_mixed_scalar_bulk_and_round_appends_keep_chunk_order():
+    sizes = np.array([4, 0, 3, 1])
+    parts = _rounds_pattern(sizes)
+
+    def emit(b, bulk):
+        b.phase("a").stream("s0")
+        b.sleep(0.5)
+        if bulk:
+            b.compute_many([1e6, 2e6], workload_class="app.md")
+        else:
+            b.compute(instructions=1e6, workload_class="app.md")
+            b.compute(instructions=2e6, workload_class="app.md")
+        b.io(bytes_read=10, filesystem="nfs")
+        if bulk:
+            b.rounds(len(sizes), *parts)
+        else:
+            _scalar_rounds(b, len(sizes), parts)
+        b.memory(allocate=5)
+        b.stream("s1")
+        if bulk:
+            b.io_many(bytes_read=[1, 2, 3], filesystem="lustre")
+            b.network_many(bytes_sent=[8, 9])
+        else:
+            for read in (1, 2, 3):
+                b.io(bytes_read=read, filesystem="lustre")
+            for sent in (8, 9):
+                b.network(bytes_sent=sent)
+        b.compute(instructions=3e6, paradigm="mpi", threads=4)
+        b.phase("b").stream("s2")
+        if bulk:
+            b.rounds(3, RoundPart("memory", {"allocate": [1, 2, 3]}),
+                     RoundPart("network", {"bytes_received": 4}))
+        else:
+            for allocate in (1, 2, 3):
+                b.memory(allocate=allocate)
+                b.network(bytes_received=4)
+        b.sleep(0.1)
+        return b.build()
+
+    mixed = emit(PackedBuilder("mixed"), bulk=True)
+    assert_packed_equal(mixed, emit(PackedBuilder("mixed"), bulk=False))
+    assert mixed.n_phases == 2
+    assert mixed.stream_first.tolist() == [0, 14, 20]
+
+
+def test_rounds_reject_bad_patterns():
+    b = PackedBuilder("bad-rounds")
+    with pytest.raises(WorkloadError):
+        b.rounds(2, RoundPart("teleport", {}))
+    with pytest.raises(WorkloadError):
+        b.rounds(2, RoundPart("io", {"bytes": 1}))
+    with pytest.raises(WorkloadError):
+        b.rounds(3, RoundPart("io", {"bytes_read": [1, 2]}, where=[True, True, False]))
+    with pytest.raises(WorkloadError):
+        b.rounds(-1, RoundPart("sleep", {"seconds": 1.0}))
+    assert b.rounds(0, RoundPart("sleep", {"seconds": 1.0})).n_demands == 0
 
 
 def test_bulk_builders_reject_invalid_demands():
